@@ -13,6 +13,9 @@
 //!   resync windows of constant idle power.
 //! - `sim_run_gcc_leak`: the temperature-dependent leakage feedback path.
 //! - `sim_run_crafty_none`: branchy low-IPC code (recovery-heavy).
+//! - `sim_run_gcc_toggle` / `sim_run_vpr_none` and their `_noskip`
+//!   twins: idle-gap skipping on a fully gated run, and on a
+//!   memory-bound run whose pipeline back-pressures behind each miss.
 //! - `sim_run_mc2_pid` / `sim_run_mc4_super`: whole chip runs through
 //!   the coupled multicore kernel (normalized per chip cycle × cores),
 //!   the latter with hot unthrottled neighbors under the supervisor.
@@ -39,11 +42,14 @@ use tdtm_workloads::by_name;
 /// many times the committed baseline.
 const CHECK_TOLERANCE: f64 = 3.0;
 
-/// Minimum speedup idle-gap skipping must deliver on the fully-gated
-/// toggle row (`sim_run_gcc_toggle` vs its `_noskip` twin); the gap is
-/// several-fold in practice, so 1.5x stays safe against `--quick` noise
-/// while catching a disabled or degraded skip path.
-const SKIP_SPEEDUP_FLOOR: f64 = 1.5;
+/// Minimum speedups idle-gap skipping must deliver, as `(row, floor)`:
+/// the row's `_noskip` twin must take at least `floor` times as long.
+/// The gaps are several-fold in practice (the fully gated toggle row, and
+/// vpr's back-pressure stalls behind pointer-chase misses), so the floors
+/// stay safe against `--quick` noise while catching a disabled or
+/// degraded skip path.
+const SKIP_SPEEDUP_FLOORS: [(&str, f64); 2] =
+    [("sim_run_gcc_toggle", 1.5), ("sim_run_vpr_none", 2.0)];
 
 fn cell_config(policy: PolicyKind, heatsink: f64) -> SimConfig {
     let mut cfg = SimConfig::quick_test();
@@ -227,6 +233,15 @@ fn main() {
     bench_run(&mut h, "sim_run_gcc_toggle", "gcc", &toggle, reps, Some(true));
     bench_run(&mut h, "sim_run_gcc_toggle_noskip", "gcc", &toggle, reps, Some(false));
 
+    // Back-pressure skipping rows: vpr's pointer chase fills the window,
+    // LSQ, rename pipe and IFQ behind each miss, so at full duty almost
+    // every cycle is one in which no stage can move. Capped at 1 M
+    // cycles (IPC is ~0.015) to keep the `_noskip` twin short.
+    let mut vpr = cell_config(PolicyKind::None, 103.0);
+    vpr.max_cycles = 1_000_000;
+    bench_run(&mut h, "sim_run_vpr_none", "vpr", &vpr, reps, Some(true));
+    bench_run(&mut h, "sim_run_vpr_none_noskip", "vpr", &vpr, reps, Some(false));
+
     // Multicore chip runs through the coupled thermal kernel: the 2-core
     // PID row measures the lockstep loop plus the flow phase; the 4-core
     // row adds hot unthrottled neighbors and the chip-level supervisor.
@@ -248,7 +263,7 @@ fn main() {
     bench_chip_run(&mut h, "sim_run_mc4_park", "gcc", &mc4_park, reps, Some(true));
     bench_chip_run(&mut h, "sim_run_mc4_park_noskip", "gcc", &mc4_park, reps, Some(false));
 
-    // Gate the skip speedup on the fully-gated toggle row: a disabled or
+    // Gate the skip speedups on the skip/no-skip pairs: a disabled or
     // degraded skip path shows up here long before the loose `--check`
     // tolerance would notice.
     let row = |name: &str| {
@@ -256,13 +271,15 @@ fn main() {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, ns)| *ns)
-            .expect("toggle rows always run")
+            .expect("skip rows always run")
     };
-    let speedup = row("sim_run_gcc_toggle_noskip") / row("sim_run_gcc_toggle");
-    println!("skip speedup sim_run_gcc_toggle: {speedup:.2}x (floor {SKIP_SPEEDUP_FLOOR}x)");
-    if speedup < SKIP_SPEEDUP_FLOOR {
-        eprintln!("idle-gap skip speedup below floor ({speedup:.2}x < {SKIP_SPEEDUP_FLOOR}x)");
-        std::process::exit(1);
+    for (name, floor) in SKIP_SPEEDUP_FLOORS {
+        let speedup = row(&format!("{name}_noskip")) / row(name);
+        println!("skip speedup {name}: {speedup:.2}x (floor {floor}x)");
+        if speedup < floor {
+            eprintln!("idle-gap skip speedup of {name} below floor ({speedup:.2}x < {floor}x)");
+            std::process::exit(1);
+        }
     }
 
     if let Some(i) = args.iter().position(|a| a == "--json") {

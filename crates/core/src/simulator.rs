@@ -998,8 +998,9 @@ impl Simulator {
     /// sample just as the reference loop would.
     ///
     /// Idle-gap skipping: when the core proves a k-cycle window idle
-    /// ([`Core::idle_window`]: fetch gated shut or the pipeline drained
-    /// against a known wake cycle) — or the loop is inside a V/f resync
+    /// ([`Core::idle_window`]: fetch gated shut, or the pipeline drained
+    /// or back-pressured — window, LSQ, rename pipe and IFQ full behind a
+    /// miss — against a known wake cycle) — or the loop is inside a V/f resync
     /// stall — every cycle in the window draws the same idle power, so
     /// the loop folds the window with a constant-power thermal kernel
     /// ([`BlockModel::step_gap_observed`] /

@@ -100,10 +100,21 @@ impl Memory {
         self.write_u64(addr, value.to_bits());
     }
 
-    /// Copies `bytes` into memory starting at `base`.
+    /// Copies `bytes` into memory starting at `base`, one page-sized
+    /// chunk at a time. Touches exactly the pages byte-wise writes would.
     pub fn load_bytes(&mut self, base: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(base.wrapping_add(i as u64), b);
+        let mut addr = base;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let offset = (addr as usize) & (PAGE_SIZE - 1);
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_SIZE - offset));
+            let page = self
+                .pages
+                .entry(addr >> PAGE_SHIFT)
+                .or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
+            page[offset..offset + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            rest = tail;
         }
     }
 }
@@ -155,6 +166,34 @@ mod tests {
         for (i, &b) in data.iter().enumerate() {
             assert_eq!(m.read_u8(0x2000 - 100 + i as u64), b);
         }
+    }
+
+    #[test]
+    fn paged_load_matches_byte_wise_writes() {
+        // Unaligned start, several page crossings, and a ragged end; the
+        // last case wraps around the top of the address space.
+        let data: Vec<u8> = (0..3 * PAGE_SIZE + 123).map(|i| (i * 7 + 3) as u8).collect();
+        for base in [0x3000 - 17, 0x7_0000, u64::MAX - 100] {
+            let mut paged = Memory::new();
+            paged.load_bytes(base, &data);
+            let mut bytewise = Memory::new();
+            for (i, &b) in data.iter().enumerate() {
+                bytewise.write_u8(base.wrapping_add(i as u64), b);
+            }
+            assert_eq!(paged.resident_pages(), bytewise.resident_pages(), "base {base:#x}");
+            let mut keys: Vec<_> = paged.pages.keys().collect();
+            let mut want: Vec<_> = bytewise.pages.keys().collect();
+            keys.sort();
+            want.sort();
+            assert_eq!(keys, want, "base {base:#x}");
+            for i in 0..data.len() as u64 + 16 {
+                let a = base.wrapping_add(i).wrapping_sub(8);
+                assert_eq!(paged.read_u8(a), bytewise.read_u8(a), "base {base:#x} addr {a:#x}");
+            }
+        }
+        let mut empty = Memory::new();
+        empty.load_bytes(0x1234, &[]);
+        assert_eq!(empty.resident_pages(), 0);
     }
 
     #[test]

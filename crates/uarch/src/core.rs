@@ -130,6 +130,10 @@ struct RuuEntry {
     complete_cycle: u64,
     /// Destination architectural register (0..31 int, 32..63 fp).
     dest: Option<usize>,
+    /// For a load: the older store whose unknown address blocked its
+    /// last issue attempt. While that store stays unissued the LSQ
+    /// verdict cannot change, so issue skips the search.
+    blocked_by: Option<u64>,
 }
 
 impl RuuEntry {
@@ -152,6 +156,36 @@ struct LsqEntry {
     addr_known: bool,
 }
 
+/// The LSQ's verdict on a load: decided by the youngest older store that
+/// either has an unknown address or writes the load's 8-byte word.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum LsqConflict {
+    /// No older store is in the way; the load reads the D-cache.
+    Clear,
+    /// An older store to the same word has a known address: forward.
+    Forward,
+    /// The older store with this seq has not generated its address yet
+    /// (conservative: the load waits).
+    Blocked(u64),
+}
+
+/// Searches `lsq` from its youngest end for the stores older than the
+/// load `seq` reading `addr`.
+fn lsq_conflict(lsq: &VecDeque<LsqEntry>, seq: u64, addr: u64) -> LsqConflict {
+    for e in lsq.iter().rev() {
+        if e.seq >= seq || !e.is_store {
+            continue;
+        }
+        if !e.addr_known {
+            return LsqConflict::Blocked(e.seq);
+        }
+        if e.addr >> 3 == addr >> 3 {
+            return LsqConflict::Forward;
+        }
+    }
+    LsqConflict::Clear
+}
+
 #[derive(Clone, Copy, Debug)]
 enum FetchSource {
     /// Fetching the correct path; the next oracle index to fetch.
@@ -166,10 +200,13 @@ enum FetchSource {
 pub enum IdleKind {
     /// Fetch is held off (duty gate closed, width capped to zero, or the
     /// oracle exhausted) and the window ends when the gate next opens
-    /// with fetch supply available.
+    /// with fetch supply and IFQ room available.
     Gated,
-    /// The pipeline is drained down to in-flight long-latency operations
-    /// whose completion cycles are already known.
+    /// No stage can move before the earliest in-flight completion: the
+    /// pipeline is either drained down to in-flight long-latency
+    /// operations, or back-pressured behind them (window or LSQ full,
+    /// rename pipe and IFQ full behind it), and their completion cycles
+    /// are already known.
     Drained,
 }
 
@@ -220,6 +257,13 @@ pub struct Core {
     /// The candidate *order* (oldest first) matches the scan it replaced,
     /// so issue selection and unit allocation are bit-identical.
     ready_unissued: Vec<u64>,
+    /// The earliest `complete_cycle` among issued, uncompleted RUU
+    /// entries (`u64::MAX` when none is in flight). Issue lowers it,
+    /// writeback recomputes it from the entries it leaves in flight, and
+    /// recovery from the survivors. Writeback skips its window scan on
+    /// cycles before it, and [`idle_window`](Core::idle_window) reads it
+    /// as the drain bound.
+    next_completion: u64,
 
     /// When set, each pipeline stage is wrapped in a host timer and the
     /// accumulated nanoseconds land in `stage_nanos`. Off by default — the
@@ -299,6 +343,7 @@ impl Core {
             wb_completed: Vec::new(),
             wb_woken: Vec::new(),
             ready_unissued: Vec::with_capacity(cfg.ruu_size),
+            next_completion: u64::MAX,
             stage_profiling: false,
             stage_nanos: [0; 6],
             cfg,
@@ -418,12 +463,40 @@ impl Core {
     /// current cycle *could* start a provably-idle window. A `false`
     /// result is definitive; a `true` result still needs the full window
     /// walk.
+    ///
+    /// Accepts both idle shapes: a *drained* pipeline (IFQ and rename
+    /// pipe empty) and a *back-pressured* one, where dispatch is blocked
+    /// (rename pipe empty, RUU full, or a load/store at the rename-pipe
+    /// head facing a full LSQ) and decode is blocked (IFQ empty or rename
+    /// pipe at capacity). Either way nothing is ready to issue and
+    /// speculation control is off.
     #[inline]
     pub fn maybe_idle(&self) -> bool {
-        self.ifq.is_empty()
-            && self.frontend.is_empty()
-            && self.ready_unissued.is_empty()
+        self.ready_unissued.is_empty()
             && self.control.max_unresolved_branches.is_none()
+            && self.dispatch_blocked()
+            && (self.ifq.is_empty() || self.frontend.len() >= self.frontend_capacity())
+    }
+
+    /// Whether dispatch cannot move until commit frees a window or LSQ
+    /// slot: the rename pipe is empty, the RUU is full, or the rename-pipe
+    /// head is a load/store facing a full LSQ.
+    #[inline]
+    fn dispatch_blocked(&self) -> bool {
+        match self.frontend.front() {
+            None => true,
+            Some((_, head)) => {
+                self.ruu.len() >= self.cfg.ruu_size
+                    || (self.lsq.len() >= self.cfg.lsq_size
+                        && matches!(head.inst.op.class(), OpClass::Load | OpClass::Store))
+            }
+        }
+    }
+
+    /// Rename-pipe capacity: at most `decode_width` uops per stage.
+    #[inline]
+    fn frontend_capacity(&self) -> usize {
+        self.cfg.decode_width * (self.cfg.frontend_depth as usize + 1)
     }
 
     /// Detects a provably-idle window starting at the current cycle: a
@@ -437,13 +510,20 @@ impl Core {
     /// pipeline. The *drain* bound is the earliest `complete_cycle` of
     /// an in-flight (issued, uncompleted) RUU entry — writeback fires
     /// the cycle it is reached. The *fetch* bound is the first cycle at
-    /// which the duty gate opens while fetch has both supply (an oracle
-    /// record, or any wrong-path cycle) and nonzero width; the gate is
-    /// simulated on a copy, and only advanced for real when the caller
-    /// commits via [`skip_idle`](Core::skip_idle). Preconditions for any
-    /// window: IFQ, rename pipe, and ready-unissued list empty (so no
-    /// stage has queued work), window head not yet committable, and
-    /// speculation control off (its stall counter is not modeled here).
+    /// which the duty gate opens while fetch has room (IFQ not full),
+    /// supply (an oracle record, or any wrong-path cycle) and nonzero
+    /// width; the gate is simulated on a copy, and only advanced for real
+    /// when the caller commits via [`skip_idle`](Core::skip_idle).
+    ///
+    /// Preconditions for any window ([`maybe_idle`](Core::maybe_idle)):
+    /// nothing ready to issue, speculation control off (its stall counter
+    /// is not modeled here), dispatch and decode blocked, and the window
+    /// head not yet committable. Until the drain bound nothing completes,
+    /// so nothing commits; with nothing committing no RUU or LSQ slot
+    /// frees, so a blocked dispatch stays blocked, the rename pipe stays
+    /// as full as it is, and a blocked decode stays blocked. This covers
+    /// both a drained pipeline and one back-pressured behind a long miss
+    /// with the RUU, LSQ, rename pipe and IFQ full.
     ///
     /// Takes `&mut self` because checking fetch supply may run the
     /// functional oracle forward — deterministic and cached, exactly as
@@ -455,18 +535,14 @@ impl Core {
         if self.ruu.front().is_some_and(|e| e.completed) {
             return None; // commit would retire it this cycle
         }
-        let mut drain_wake = u64::MAX;
-        for e in &self.ruu {
-            if e.issued && !e.completed && e.complete_cycle < drain_wake {
-                drain_wake = e.complete_cycle;
-            }
-        }
+        let drain_wake = self.next_completion;
+        debug_assert_eq!(drain_wake, self.earliest_completion(), "stale completion bound");
         if drain_wake <= self.cycle {
             return None; // a completion lands this cycle
         }
         let bound = self.cycle.saturating_add(horizon).min(drain_wake);
         let fetchable = self.effective_fetch_width() > 0
-            && self.cfg.ifq_size > 0
+            && self.ifq.len() < self.cfg.ifq_size
             && match self.fetch_source {
                 FetchSource::OnPath(idx) => self.oracle.has_record(idx),
                 FetchSource::WrongPath { .. } => true,
@@ -635,24 +711,45 @@ impl Core {
     // Writeback / completion / recovery
     // ------------------------------------------------------------------
 
+    /// The earliest `complete_cycle` among in-flight RUU entries, by a
+    /// fresh scan (what `next_completion` caches).
+    fn earliest_completion(&self) -> u64 {
+        self.ruu
+            .iter()
+            .filter(|e| e.issued && !e.completed)
+            .map(|e| e.complete_cycle)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     fn writeback(&mut self) {
+        if self.cycle < self.next_completion {
+            return; // nothing in flight lands this cycle
+        }
         // Collect completions for this cycle into a persistent buffer
         // (reused across cycles — the cycle loop never heap-allocates).
         let mut completed = std::mem::take(&mut self.wb_completed);
         completed.clear();
         let mut recovery: Option<usize> = None;
+        let mut next_completion = u64::MAX;
         for (i, e) in self.ruu.iter_mut().enumerate() {
-            if e.issued && !e.completed && e.complete_cycle <= self.cycle {
-                e.completed = true;
-                completed.push((i, e.seq));
-                if e.is_control() {
-                    self.unresolved_branches = self.unresolved_branches.saturating_sub(1);
-                    if e.uop.will_mispredict && recovery.is_none() {
-                        recovery = Some(i);
-                    }
+            if !e.issued || e.completed {
+                continue;
+            }
+            if e.complete_cycle > self.cycle {
+                next_completion = next_completion.min(e.complete_cycle);
+                continue;
+            }
+            e.completed = true;
+            completed.push((i, e.seq));
+            if e.is_control() {
+                self.unresolved_branches = self.unresolved_branches.saturating_sub(1);
+                if e.uop.will_mispredict && recovery.is_none() {
+                    recovery = Some(i);
                 }
             }
         }
+        self.next_completion = next_completion;
 
         // Broadcast results: wake dependents. Dependences always point at
         // older (smaller-seq) producers, so only entries *behind* the
@@ -743,6 +840,7 @@ impl Core {
         // Squashed entries leave the ready list too — the recycled seqs
         // will name fresh entries that must earn their own readiness.
         self.ready_unissued.retain(|&s| s <= branch_seq);
+        self.next_completion = self.earliest_completion();
     }
 
     // ------------------------------------------------------------------
@@ -867,6 +965,7 @@ impl Core {
             let e = &mut self.ruu[i];
             e.issued = true;
             e.complete_cycle = self.cycle + latency;
+            self.next_completion = self.next_completion.min(e.complete_cycle);
             self.activity.bump(Block::Window);
             issued += 1;
             self.stats.issued += 1;
@@ -878,33 +977,37 @@ impl Core {
     /// Checks LSQ ordering constraints for the load at RUU index `i` and
     /// performs the cache access if it may issue. Returns the load
     /// latency, or `None` if it must wait.
-    fn try_issue_load(&mut self, ruu_idx: usize, _front_seq: u64) -> Option<u64> {
-        let seq = self.ruu[ruu_idx].seq;
-        let addr = self.ruu[ruu_idx].uop.mem_addr.expect("loads have addresses");
+    fn try_issue_load(&mut self, ruu_idx: usize, front_seq: u64) -> Option<u64> {
+        let entry = &self.ruu[ruu_idx];
+        let (seq, addr) = (entry.seq, entry.uop.mem_addr.expect("loads have addresses"));
 
-        let mut forward = false;
-        for e in self.lsq.iter().rev() {
-            if e.seq >= seq {
-                continue;
-            }
-            if !e.is_store {
-                continue;
-            }
-            if !e.addr_known {
-                // Conservative: an earlier store with unknown address
-                // blocks the load.
+        // A load blocked by a store that is still in the window and still
+        // unissued stays blocked: no store can enter between the two
+        // (dispatch appends younger ones), none can leave (commit is in
+        // order behind the blocker, and a squash that removed one would
+        // remove the load too), and the ones between keep their known
+        // addresses. Only the blocker's issue changes the verdict. A
+        // committed blocker has a seq below the window head.
+        if let Some(store) = entry.blocked_by {
+            if store >= front_seq && !self.ruu[(store - front_seq) as usize].issued {
+                debug_assert_eq!(
+                    lsq_conflict(&self.lsq, seq, addr),
+                    LsqConflict::Blocked(store),
+                    "stale LSQ block memo"
+                );
                 return None;
             }
-            if e.addr >> 3 == addr >> 3 {
-                forward = true;
-                break;
-            }
+        }
+        let conflict = lsq_conflict(&self.lsq, seq, addr);
+        if let LsqConflict::Blocked(store) = conflict {
+            self.ruu[ruu_idx].blocked_by = Some(store);
+            return None;
         }
 
         // The LSQ CAM search is charged once per successfully issued load
         // (a blocked load does not re-search every cycle).
         self.activity.bump(Block::Lsq);
-        if forward {
+        if conflict == LsqConflict::Forward {
             self.stats.forwards += 1;
             return Some(1);
         }
@@ -1038,6 +1141,7 @@ impl Core {
             completed: false,
             complete_cycle: 0,
             dest,
+            blocked_by: None,
         });
         if born_ready {
             // `seq` exceeds every live seq, so a push keeps the list sorted.
@@ -1052,8 +1156,7 @@ impl Core {
     // ------------------------------------------------------------------
 
     fn decode(&mut self) {
-        // The rename pipe holds at most decode_width uops per stage.
-        let capacity = self.cfg.decode_width * (self.cfg.frontend_depth as usize + 1);
+        let capacity = self.frontend_capacity();
         let mut n = 0;
         while n < self.cfg.decode_width && self.frontend.len() < capacity {
             let Some(uop) = self.ifq.pop_front() else { break };
@@ -1438,6 +1541,43 @@ mod tests {
         assert_eq!(core.output(), &[55]);
     }
 
+    /// Runs `p` on a ticking core and on a twin that fast-forwards every
+    /// window [`Core::idle_window`] finds, in lockstep. Every skipped
+    /// cycle must be a zero-activity cycle on the ticking core, and the
+    /// twins' stats (cycle, gated-cycle and occupancy counters included)
+    /// must agree after every step. `on_window` sees the skipping core at
+    /// the start of each window. Returns the skipping core.
+    fn lockstep_with_skipping(
+        p: &Program,
+        control: CoreControl,
+        mut on_window: impl FnMut(&Core, u64, IdleKind),
+    ) -> Core {
+        let mut reference = Core::new(CoreConfig::alpha21264_like(), p);
+        let mut skipping = Core::new(CoreConfig::alpha21264_like(), p);
+        reference.set_control(control);
+        skipping.set_control(control);
+        let mut guard = 0u64;
+        while !skipping.finished() {
+            guard += 1;
+            assert!(guard < 2_000_000, "{control:?}: run did not finish");
+            if let Some((k, kind)) = skipping.idle_window(256) {
+                on_window(&skipping, k, kind);
+                for _ in 0..k {
+                    let a = reference.cycle();
+                    assert_eq!(a.total(), 0, "{control:?}: skipped cycle had activity");
+                }
+                skipping.skip_idle(k);
+            } else {
+                reference.cycle();
+                skipping.cycle();
+            }
+            assert_eq!(reference.stats(), skipping.stats(), "{control:?}");
+        }
+        assert!(reference.finished(), "lockstep twins finish together");
+        assert_eq!(reference.output(), skipping.output());
+        skipping
+    }
+
     /// The idle-window contract, end to end: a core that fast-forwards
     /// every detected window must be indistinguishable — stats, cycle
     /// counter, gated-cycle counter, occupancy sums, architectural
@@ -1453,33 +1593,11 @@ mod tests {
                         halt";
         let p = assemble(src).unwrap();
         for duty in [0.125, 0.25, 0.5] {
-            let mut reference = Core::new(CoreConfig::alpha21264_like(), &p);
-            let mut skipping = Core::new(CoreConfig::alpha21264_like(), &p);
-            let control = CoreControl { fetch_duty: duty, ..CoreControl::default() };
-            reference.set_control(control);
-            skipping.set_control(control);
             let mut windows = 0u64;
-            let mut guard = 0u64;
-            while !skipping.finished() {
-                guard += 1;
-                assert!(guard < 1_000_000, "duty {duty}: run did not finish");
-                if let Some((k, _)) = skipping.idle_window(256) {
-                    for _ in 0..k {
-                        let a = reference.cycle();
-                        assert_eq!(a.total(), 0, "duty {duty}: skipped cycle had activity");
-                    }
-                    skipping.skip_idle(k);
-                    windows += 1;
-                } else {
-                    reference.cycle();
-                    skipping.cycle();
-                }
-                assert_eq!(reference.stats(), skipping.stats(), "duty {duty}");
-            }
+            let control = CoreControl { fetch_duty: duty, ..CoreControl::default() };
+            let core = lockstep_with_skipping(&p, control, |_, _, _| windows += 1);
             assert!(windows > 0, "duty {duty}: gated loop should expose idle windows");
-            assert!(reference.finished(), "lockstep twins finish together");
-            assert_eq!(reference.output(), skipping.output());
-            assert!(skipping.stats().gated_cycles > 0);
+            assert!(core.stats().gated_cycles > 0);
         }
     }
 
@@ -1500,29 +1618,70 @@ mod tests {
                      halt",
         )
         .unwrap();
-        let mut reference = Core::new(CoreConfig::alpha21264_like(), &p);
-        let mut skipping = Core::new(CoreConfig::alpha21264_like(), &p);
         let mut drained = 0u64;
-        let mut guard = 0u64;
-        while !skipping.finished() {
-            guard += 1;
-            assert!(guard < 2_000_000, "run did not finish");
-            if let Some((k, kind)) = skipping.idle_window(256) {
-                for _ in 0..k {
-                    let a = reference.cycle();
-                    assert_eq!(a.total(), 0, "skipped cycle had activity");
-                }
-                skipping.skip_idle(k);
-                if kind == IdleKind::Drained {
-                    drained += 1;
-                }
-            } else {
-                reference.cycle();
-                skipping.cycle();
-            }
-        }
-        assert_eq!(reference.stats(), skipping.stats());
+        lockstep_with_skipping(&p, CoreControl::default(), |_, _, kind| {
+            drained += (kind == IdleKind::Drained) as u64;
+        });
         assert!(drained > 0, "miss-bound chase should expose drained windows");
+    }
+
+    #[test]
+    fn back_pressured_miss_chains_expose_idle_windows_at_full_duty() {
+        // A serialized chain of cold misses (each load's address waits on
+        // the previous load) with a loop body that all waits on the miss.
+        // The window fills behind it, then the rename pipe and the IFQ
+        // fill behind the window, and no stage can move until the miss
+        // returns. An ALU-heavy body fills the RUU first; a memory-heavy
+        // body (5 of 9 ops) fills the LSQ first, so dispatch stalls on a
+        // load/store at the rename-pipe head.
+        let chase = |body: &str| {
+            format!(
+                "        li x1, 0x200000
+                         li x2, 120
+                 l:      lw   x4, 0(x1)       # cold miss
+                         add  x1, x1, x4      # the next address waits on it
+                         addi x1, x1, 8192
+                         {body}
+                         addi x2, x2, -1
+                         bne  x2, x0, l
+                         out  x5
+                         halt"
+            )
+        };
+        let alu = chase(
+            "add x5, x5, x4
+             add x6, x6, x4
+             add x7, x7, x4
+             add x8, x8, x4
+             add x9, x9, x4
+             add x10, x10, x4",
+        );
+        let mem = chase(
+            "lw  x5, 8(x4)
+             sw  x5, 16(x4)
+             lw  x6, 24(x4)
+             sw  x6, 32(x4)",
+        );
+        for (what, src) in [("alu", alu), ("mem", mem)] {
+            let p = assemble(&src).unwrap();
+            let cfg = CoreConfig::alpha21264_like();
+            let (mut ruu_full, mut lsq_full, mut ifq_full, mut skipped) = (0u64, 0u64, 0u64, 0u64);
+            let core = lockstep_with_skipping(&p, CoreControl::default(), |c, k, _| {
+                skipped += k;
+                if c.frontend.len() == c.frontend_capacity() {
+                    ruu_full += (c.ruu.len() == cfg.ruu_size) as u64;
+                    lsq_full += (c.lsq.len() == cfg.lsq_size) as u64;
+                    ifq_full += (c.ifq.len() == cfg.ifq_size) as u64;
+                }
+            });
+            assert!(ifq_full > 0, "{what}: no window behind a full IFQ and rename pipe");
+            match what {
+                "alu" => assert!(ruu_full > 0, "alu: no window behind a full RUU"),
+                _ => assert!(lsq_full > 0, "mem: no window behind a full LSQ"),
+            }
+            let frac = skipped as f64 / core.stats().cycles as f64;
+            assert!(frac > 0.5, "{what}: miss-bound chase skipped only {frac:.2} of its cycles");
+        }
     }
 
     #[test]

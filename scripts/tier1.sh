@@ -69,21 +69,30 @@ echo "== tier 1: bench regression smoke (simulator_throughput vs BENCH_simloop.j
 cargo bench -p tdtm-bench --bench simulator_throughput -- --quick --check "$PWD/BENCH_simloop.json"
 
 echo "== tier 1: idle-gap skip identity smoke (TDTM_SKIP=0 vs default) =="
-# One toggle-policy chip cell both ways through the env-var opt-out: the
-# per-core and chip summaries (cycles, IPC, emergency/stress, peak
-# temperature) must match to the last printed digit. The chip path is the
-# one whose report-producing loop skips even under telemetry; the
-# single-core telemetry run routes through the never-skipping reference
-# loop and would make this check vacuous.
-ON_ERR="$(TDTM_INSTS=20000 cargo run -q --release -p tdtm-bench --bin trace_run -- gcc toggle1 --cores 2 --stride 1000 2>&1 > /dev/null)"
-OFF_ERR="$(TDTM_INSTS=20000 TDTM_SKIP=0 cargo run -q --release -p tdtm-bench --bin trace_run -- gcc toggle1 --cores 2 --stride 1000 2>&1 > /dev/null)"
-REPORT='^(core [0-9]|chip: [0-9]|        hottest)'
-SKIP_ON="$(echo "$ON_ERR" | grep -E "$REPORT")"
-SKIP_OFF="$(echo "$OFF_ERR" | grep -E "$REPORT")"
-test -n "$SKIP_ON" || { echo "idle-gap skip smoke: no report lines captured"; exit 1; }
-echo "$ON_ERR" | grep -E '^skipped idle windows .* [1-9][0-9]* windows' > /dev/null \
-  || { echo "idle-gap skip smoke: default run skipped no windows (vacuous)"; exit 1; }
-diff <(echo "$SKIP_ON") <(echo "$SKIP_OFF") || { echo "idle-gap skipping perturbed the run"; exit 1; }
+# Chip cells both ways through the env-var opt-out: the per-core and chip
+# summaries (cycles, IPC, emergency/stress, peak temperature) must match
+# to the last printed digit, and the default run must have skipped at
+# least one window. The chip path is the one whose report-producing loop
+# skips even under telemetry; the single-core telemetry run routes
+# through the never-skipping reference loop and would make this check
+# vacuous.
+skip_smoke() {
+  local on_err off_err skip_on skip_off report='^(core [0-9]|chip: [0-9]|        hottest)'
+  on_err="$(TDTM_INSTS=20000 cargo run -q --release -p tdtm-bench --bin trace_run -- "$@" --cores 2 --stride 1000 2>&1 > /dev/null)"
+  off_err="$(TDTM_INSTS=20000 TDTM_SKIP=0 cargo run -q --release -p tdtm-bench --bin trace_run -- "$@" --cores 2 --stride 1000 2>&1 > /dev/null)"
+  skip_on="$(echo "$on_err" | grep -E "$report")"
+  skip_off="$(echo "$off_err" | grep -E "$report")"
+  test -n "$skip_on" || { echo "idle-gap skip smoke ($*): no report lines captured"; exit 1; }
+  echo "$on_err" | grep -E '^skipped idle windows .* [1-9][0-9]* windows' > /dev/null \
+    || { echo "idle-gap skip smoke ($*): default run skipped no windows (vacuous)"; exit 1; }
+  diff <(echo "$skip_on") <(echo "$skip_off") || { echo "idle-gap skipping perturbed the run ($*)"; exit 1; }
+}
+# Gated windows: the toggle policy holds fetch shut.
+skip_smoke gcc toggle1
+# Back-pressure windows at full duty: vpr's pointer chase fills the RUU,
+# LSQ, rename pipe and IFQ behind each miss, so no stage can move until
+# the miss returns.
+skip_smoke vpr none
 
 echo "== tier 1: grid throughput smoke (grid_throughput vs BENCH_grid.json) =="
 # Full 18x5 hot grid through both dispatches (reference and batched SoA);

@@ -124,7 +124,13 @@ fn idle_gap_skipping_is_byte_identical_across_random_cells() {
     // the skipping fast loop, the non-skipping fast loop, and the
     // reference loop produce byte-identical reports (including the
     // gated-cycle counter) and identical duty histories.
-    tdtm_prng::cases(8, 0x1D1E_6A50, |rng| {
+    // gcc/art gate and drain; the memory-bound programs back-pressure
+    // (full window, LSQ and IFQ behind a miss) or block loads behind
+    // unknown-address stores (gzip). Cases cycle through the pool so each
+    // program is drawn twice.
+    const POOL: [&str; 6] = ["gcc", "art", "vpr", "twolf", "gzip", "wupwise"];
+    let mut case = 0;
+    tdtm_prng::cases(2 * POOL.len() as u64, 0x1D1E_6A50, |rng| {
         let mut cfg = SimConfig::quick_test();
         cfg.dtm.policy = *rng.choose(&[
             PolicyKind::Toggle1,
@@ -146,7 +152,8 @@ fn idle_gap_skipping_is_byte_identical_across_random_cells() {
             cfg.max_insts = 1_000_000;
             cfg.max_cycles = rng.range_i64(30_000, 120_000) as u64;
         }
-        let bench = *rng.choose(&["gcc", "art"]);
+        let bench = POOL[case % POOL.len()];
+        case += 1;
         let what = format!(
             "{bench} {:?} heatsink {:.2} interval {} mem {} stop ({}, {})",
             cfg.dtm.policy,
