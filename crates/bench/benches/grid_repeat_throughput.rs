@@ -19,8 +19,9 @@
 //!   simulation).
 //!
 //! The bench self-gates the headline claim: the warm in-memory repeat
-//! must be at least [`WARM_SPEEDUP_FLOOR`]× the cold rate, or the run
-//! exits nonzero. `scripts/tier1.sh` runs this with `--quick --check`.
+//! must be at least [`WARM_SPEEDUP_FLOOR`]× the cold rate and the warm
+//! disk repeat at least [`WARM_DISK_SPEEDUP_FLOOR`]×, or the run exits
+//! nonzero. `scripts/tier1.sh` runs this with `--quick --check`.
 //!
 //! Flags (after `--`):
 //!
@@ -47,8 +48,15 @@ const CHECK_TOLERANCE: f64 = 3.0;
 const THREADS: usize = 4;
 
 /// The headline acceptance claim this bench gates: warm in-memory
-/// repeats must deliver at least this many times the cold cells/s.
-const WARM_SPEEDUP_FLOOR: f64 = 5.0;
+/// repeats must deliver at least this many times the cold cells/s (a
+/// repeat costs a lookup per cell; program digests are already held by
+/// the workloads).
+const WARM_SPEEDUP_FLOOR: f64 = 200.0;
+
+/// Warm-disk repeats (a fresh process over a populated cache directory:
+/// read, parse and promote each entry) must deliver at least this many
+/// times the cold cells/s.
+const WARM_DISK_SPEEDUP_FLOOR: f64 = 50.0;
 
 /// The paper's result grid at quick scale, on a hot heatsink so every
 /// policy actually actuates: 18 benchmarks × 5 policies = 90 cells.
@@ -171,14 +179,24 @@ fn main() {
         warm_disk_best = warm_disk_best.min(warm_pass(&grid, &cache));
     }
     let _ = std::fs::remove_dir_all(&dir);
-    report_row(&mut h, "grid18x5_repeat_warm_disk_ns_per_cell", warm_disk_best, cells);
+    let warm_disk_ns =
+        report_row(&mut h, "grid18x5_repeat_warm_disk_ns_per_cell", warm_disk_best, cells);
 
-    // The acceptance gate: warm in-memory repeats at least
-    // WARM_SPEEDUP_FLOOR× the cold rate.
-    let speedup = cold_ns / warm_mem_ns;
-    println!("warm-mem speedup over cold: {speedup:.1}x (floor {WARM_SPEEDUP_FLOOR}x)");
-    if speedup < WARM_SPEEDUP_FLOOR {
-        eprintln!("warm-repeat speedup {speedup:.1}x below the {WARM_SPEEDUP_FLOOR}x floor");
+    // The acceptance gates: warm repeats at least their floor × the cold
+    // rate.
+    let mut floors_met = true;
+    for (tier, warm_ns, floor) in [
+        ("mem", warm_mem_ns, WARM_SPEEDUP_FLOOR),
+        ("disk", warm_disk_ns, WARM_DISK_SPEEDUP_FLOOR),
+    ] {
+        let speedup = cold_ns / warm_ns;
+        println!("warm-{tier} speedup over cold: {speedup:.1}x (floor {floor}x)");
+        if speedup < floor {
+            eprintln!("warm-{tier} repeat speedup {speedup:.1}x below the {floor}x floor");
+            floors_met = false;
+        }
+    }
+    if !floors_met {
         std::process::exit(1);
     }
 

@@ -113,8 +113,14 @@ pub fn program_fingerprint(program: &Program) -> u128 {
 /// every NaN payload, and sign-preserving for `-0.0` — exactly the
 /// canonicalized-bits contract. The golden-fingerprint test pins this
 /// encoding so accidental drift fails loudly.
+///
+/// The program digest is computed once per assembled program and kept
+/// with the workload ([`Workload::program_digest`]), so repeat requests
+/// hash only the cell's configuration.
+///
+/// [`Workload::program_digest`]: tdtm_workloads::Workload::program_digest
 pub fn cell_fingerprint(cell: &GridCell) -> Fingerprint {
-    cell_fingerprint_with(cell, program_fingerprint(cell.workload.program()))
+    cell_fingerprint_with(cell, cell.workload.program_digest(program_fingerprint))
 }
 
 fn cell_fingerprint_with(cell: &GridCell, program_fp: u128) -> Fingerprint {
@@ -130,21 +136,10 @@ fn cell_fingerprint_with(cell: &GridCell, program_fp: u128) -> Fingerprint {
     Fingerprint(h.finish())
 }
 
-/// Fingerprints for every cell of a grid, with the program hash memoized
-/// per shared [`Program`] allocation — an 18 × 5 grid hashes 18
-/// programs, not 90.
+/// Fingerprints for every cell of a grid, in cell order. Each assembled
+/// program is hashed at most once, by whichever request first needs it.
 pub fn cell_fingerprints(cells: &[GridCell]) -> Vec<Fingerprint> {
-    let mut by_program: HashMap<*const Program, u128> = HashMap::new();
-    cells
-        .iter()
-        .map(|cell| {
-            let program = cell.workload.program_shared();
-            let fp = *by_program
-                .entry(Arc::as_ptr(&program))
-                .or_insert_with(|| program_fingerprint(&program));
-            cell_fingerprint_with(cell, fp)
-        })
-        .collect()
+    cells.iter().map(cell_fingerprint).collect()
 }
 
 /// The fingerprint of a *streamed* cell: the cell key plus the telemetry
@@ -698,6 +693,22 @@ mod tests {
     }
 
     #[test]
+    fn memoized_program_digests_match_hashing_from_scratch() {
+        let cells = ExperimentGrid::new(ExperimentScale::quick())
+            .suite()
+            .policies(&[PolicyKind::None, PolicyKind::Pid])
+            .cells();
+        assert_eq!(cells.len(), 36);
+        let batch = cell_fingerprints(&cells);
+        for (cell, fp) in cells.iter().zip(&batch) {
+            let scratch = program_fingerprint(cell.workload.program());
+            assert_eq!(cell.workload.program_digest(|_| unreachable!("slot filled")), scratch);
+            assert_eq!(cell_fingerprint(cell), *fp, "{}", cell.label());
+            assert_eq!(cell_fingerprint_with(cell, scratch), *fp, "{}", cell.label());
+        }
+    }
+
+    #[test]
     fn any_field_perturbation_changes_the_key() {
         let base = cell_fingerprints(&quick_cells(None));
         let perturbations: Vec<(&str, crate::engine::ConfigPatch)> = vec![
@@ -905,6 +916,50 @@ mod tests {
             assert_eq!(repaired, valid, "{name}: entry not overwritten with valid bytes");
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn mutated_entries_and_stream_lines_parse_to_ok_or_err_without_panicking() {
+        // One real streamed cell: its cache entry and its JSONL line.
+        let cache = ResultCache::in_memory();
+        let mut sink = tdtm_telemetry::MemorySink::new();
+        let cfg = TelemetryConfig::metrics_and_phases();
+        let grid = ExperimentGrid::new(ExperimentScale::quick())
+            .workload(by_name("gcc").expect("suite workload"))
+            .policies(&[PolicyKind::Pid]);
+        grid.run_streaming_cached(1, &cfg, &mut sink, &cache);
+        let fp = stream_fingerprint(cell_fingerprint(&grid.cells()[0]), &cfg);
+        let entry = cache.lookup(fp).expect("streamed cell published").to_json();
+        let line = sink.records[0].to_json();
+        assert!(CellArtifact::from_json(&entry).is_ok() && CellRecord::from_json(&line).is_ok());
+
+        let parse_both = |bytes: &[u8]| {
+            let text = String::from_utf8_lossy(bytes);
+            let parsed = std::panic::catch_unwind(|| {
+                (CellArtifact::from_json(&text).is_ok(), CellRecord::from_json(&text).is_ok())
+            });
+            parsed.unwrap_or_else(|_| panic!("parser panicked on {text:?}"))
+        };
+        for valid in [entry.as_bytes(), line.as_bytes()] {
+            // Every proper prefix of a JSON object is malformed.
+            for cut in 0..valid.len() {
+                assert_eq!(parse_both(&valid[..cut]), (false, false), "prefix of {cut} bytes");
+            }
+        }
+        tdtm_prng::cases(3000, 0xf11b, |rng| {
+            let sources = [entry.as_bytes(), line.as_bytes()];
+            let mut bytes = rng.choose(&sources).to_vec();
+            let at = rng.index(bytes.len());
+            bytes[at] ^= 1 << rng.below(8);
+            parse_both(&bytes);
+            // Splice a span of either text into the other at any point.
+            let donor = rng.choose(&sources);
+            let lo = rng.index(donor.len());
+            let hi = lo + rng.index(donor.len() - lo + 1);
+            let at = rng.index(bytes.len() + 1);
+            bytes.splice(at..at, donor[lo..hi].iter().copied());
+            parse_both(&bytes);
+        });
     }
 
     #[test]

@@ -325,8 +325,10 @@ pub mod json {
 
         /// A non-negative integer that fits a `u64` exactly.
         pub fn as_u64(&self) -> Option<u64> {
+            // `u64::MAX as f64` rounds up to 2^64, one past the largest
+            // u64, so the bound is exclusive.
             match self {
-                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+                Value::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                     Some(*n as u64)
                 }
                 _ => None,
@@ -434,6 +436,15 @@ pub mod json {
         *pos += 1;
         let mut out = String::new();
         loop {
+            // Copy everything up to the next quote or backslash in one
+            // piece. Both are ASCII, so in UTF-8 input (`parse` takes a
+            // `&str`) every stop is a char boundary and each run is valid
+            // on its own: checking runs, not the rest of the input per
+            // char, keeps the scan linear in the string's length.
+            let run = b[*pos..].iter().position(|&c| c == b'"' || c == b'\\');
+            let end = run.map_or(b.len(), |n| *pos + n);
+            out.push_str(std::str::from_utf8(&b[*pos..end]).map_err(|e| e.to_string())?);
+            *pos = end;
             match b.get(*pos) {
                 Some(b'"') => {
                     *pos += 1;
@@ -466,15 +477,7 @@ pub mod json {
                     }
                     *pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slices
-                    // at char boundaries are valid).
-                    let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    *pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".to_string()),
+                _ => return Err("unterminated string".to_string()),
             }
         }
     }
@@ -494,6 +497,142 @@ pub mod json {
             .parse::<f64>()
             .map(Value::Num)
             .map_err(|e| format!("bad number at byte {start}: {e}"))
+    }
+
+    #[cfg(test)]
+    mod tests {
+        use super::*;
+        use crate::stream::json_str;
+        use tdtm_prng::Rng;
+
+        /// The char-at-a-time scanner `string` replaced, kept as the
+        /// reference the linear scanner is checked against. It revalidates
+        /// the rest of the input per char, so it is quadratic: test-only.
+        fn string_char_at_a_time(b: &[u8], pos: &mut usize) -> Result<String, String> {
+            if b.get(*pos) != Some(&b'"') {
+                return Err(format!("expected string at byte {pos}", pos = *pos));
+            }
+            *pos += 1;
+            let mut out = String::new();
+            loop {
+                match b.get(*pos) {
+                    Some(b'"') => {
+                        *pos += 1;
+                        return Ok(out);
+                    }
+                    Some(b'\\') => {
+                        *pos += 1;
+                        match b.get(*pos) {
+                            Some(b'"') => out.push('"'),
+                            Some(b'\\') => out.push('\\'),
+                            Some(b'/') => out.push('/'),
+                            Some(b'n') => out.push('\n'),
+                            Some(b't') => out.push('\t'),
+                            Some(b'r') => out.push('\r'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
+                            Some(b'u') => {
+                                let hex =
+                                    b.get(*pos + 1..*pos + 5).ok_or("truncated \\u escape")?;
+                                let code = u32::from_str_radix(
+                                    std::str::from_utf8(hex).map_err(|e| e.to_string())?,
+                                    16,
+                                )
+                                .map_err(|e| e.to_string())?;
+                                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                                *pos += 4;
+                            }
+                            _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
+                        }
+                        *pos += 1;
+                    }
+                    Some(_) => {
+                        let rest = std::str::from_utf8(&b[*pos..]).map_err(|e| e.to_string())?;
+                        let c = rest.chars().next().unwrap();
+                        out.push(c);
+                        *pos += c.len_utf8();
+                    }
+                    None => return Err("unterminated string".to_string()),
+                }
+            }
+        }
+
+        /// Raw characters: ASCII, 2-, 3- and 4-byte UTF-8, a control
+        /// char, and the two that must be escaped.
+        const CHARS: &[char] = &[
+            'a', 'Z', '0', ' ', '/', 'é', 'ß', '€', '中', '𝄞', '😀', '\u{1}', '\u{7f}', '"', '\\',
+        ];
+
+        /// Escape sequences, valid and not: every simple escape, `\u`
+        /// forms (including a surrogate, which has no char), and broken
+        /// or truncated ones.
+        const ESCAPES: &[&str] = &[
+            "\\\"", "\\\\", "\\/", "\\n", "\\t", "\\r", "\\b", "\\f", "\\u0041", "\\u00e9",
+            "\\u20AC", "\\ud800", "\\u00", "\\uZZZZ", "\\x", "\\",
+        ];
+
+        fn random_text(rng: &mut Rng) -> String {
+            (0..rng.below(24)).map(|_| *rng.choose(CHARS)).collect()
+        }
+
+        /// A string literal built from raw chars, escapes and `\u00XX`,
+        /// sometimes cut short or followed by trailing bytes.
+        fn random_literal(rng: &mut Rng) -> String {
+            let mut lit = String::from("\"");
+            for _ in 0..rng.below(24) {
+                match rng.below(4) {
+                    0 => lit.push_str(rng.choose::<&str>(ESCAPES)),
+                    1 => lit.push_str(&format!("\\u00{:02x}", rng.below(256))),
+                    _ => lit.push(*rng.choose(CHARS)),
+                }
+            }
+            match rng.below(4) {
+                0 => {}
+                1 => lit.push_str("\",1"),
+                _ => lit.push('"'),
+            }
+            lit
+        }
+
+        #[test]
+        fn linear_string_scan_matches_the_char_at_a_time_oracle() {
+            tdtm_prng::cases(4000, 0x5715, |rng| {
+                let lit = if rng.below(2) == 0 {
+                    json_str(&random_text(rng))
+                } else {
+                    random_literal(rng)
+                };
+                let b = lit.as_bytes();
+                let (mut fast_pos, mut oracle_pos) = (0, 0);
+                let fast = string(b, &mut fast_pos);
+                let oracle = string_char_at_a_time(b, &mut oracle_pos);
+                assert_eq!(fast, oracle, "literal {lit:?}");
+                if fast.is_ok() {
+                    assert_eq!(fast_pos, oracle_pos, "literal {lit:?}");
+                }
+            });
+        }
+
+        #[test]
+        fn json_str_round_trips_through_parse() {
+            tdtm_prng::cases(2000, 0x0a7e, |rng| {
+                let text = random_text(rng);
+                assert_eq!(parse(&json_str(&text)), Ok(Value::Str(text.clone())));
+                let obj = format!("{{{}:[{}]}}", json_str(&text), json_str(&text));
+                let expect = Value::Obj(vec![(text.clone(), Value::Arr(vec![Value::Str(text)]))]);
+                assert_eq!(parse(&obj), Ok(expect));
+            });
+        }
+
+        #[test]
+        fn as_u64_rejects_two_to_the_64() {
+            let num = |text: &str| parse(text).expect("number literal");
+            assert_eq!(num("18446744073709551616").as_u64(), None, "2^64 does not fit");
+            assert_eq!(num("9007199254740992").as_u64(), Some(1 << 53));
+            assert_eq!(num("0").as_u64(), Some(0));
+            assert_eq!(num("-1").as_u64(), None);
+            assert_eq!(num("1.5").as_u64(), None);
+        }
     }
 }
 

@@ -1,5 +1,7 @@
 //! The 18-program suite and its thermal-category assignments.
 
+use std::sync::{Arc, OnceLock};
+
 use crate::kernels;
 use tdtm_isa::asm::assemble_named;
 use tdtm_isa::Program;
@@ -49,7 +51,12 @@ pub struct Workload {
     /// The assembled program, shared: cloning a `Workload` (one clone per
     /// grid cell) bumps a reference count instead of deep-copying data
     /// segments that can run to megabytes.
-    program: std::sync::Arc<Program>,
+    program: Arc<Program>,
+    /// The program's content digest, filled on first use and shared by
+    /// every clone. It lives exactly as long as `program` (both are
+    /// created together and never reassigned), so it can never describe
+    /// another program.
+    digest: Arc<OnceLock<u128>>,
 }
 
 impl Workload {
@@ -61,7 +68,13 @@ impl Workload {
     ) -> Workload {
         let program = assemble_named(&source, name)
             .unwrap_or_else(|e| panic!("workload `{name}` failed to assemble: {e}"));
-        Workload { name, category, warmup_insts, program: std::sync::Arc::new(program) }
+        Workload {
+            name,
+            category,
+            warmup_insts,
+            program: Arc::new(program),
+            digest: Arc::new(OnceLock::new()),
+        }
     }
 
     /// The assembled program.
@@ -70,8 +83,20 @@ impl Workload {
     }
 
     /// The assembled program as a shared handle (no deep clone).
-    pub fn program_shared(&self) -> std::sync::Arc<Program> {
-        std::sync::Arc::clone(&self.program)
+    pub fn program_shared(&self) -> Arc<Program> {
+        Arc::clone(&self.program)
+    }
+
+    /// The program's content digest, computed by `hash` on the first
+    /// call for this program and then read back by every clone, from any
+    /// thread. Assembly never hashes, so [`suite`] stays as cheap as
+    /// assembling.
+    ///
+    /// The slot keeps whichever digest it was filled with, so every
+    /// caller must pass the same hash function (in this workspace,
+    /// `tdtm_core::cache::program_fingerprint`).
+    pub fn program_digest(&self, hash: impl FnOnce(&Program) -> u128) -> u128 {
+        *self.digest.get_or_init(|| hash(&self.program))
     }
 }
 
@@ -185,6 +210,32 @@ mod tests {
         let w = by_name("gcc").expect("gcc exists");
         assert_eq!(w.name, "gcc");
         assert!(by_name("not-a-benchmark").is_none());
+    }
+
+    #[test]
+    fn suite_leaves_every_digest_slot_empty() {
+        // An empty slot runs the hasher it is handed; a filled one
+        // would return its stored digest instead.
+        for w in suite() {
+            assert_eq!(w.program_digest(|_| 7), 7, "{} was hashed during assembly", w.name);
+        }
+    }
+
+    #[test]
+    fn clones_share_one_digest_slot() {
+        let a = by_name("gcc").expect("gcc exists");
+        let b = a.clone();
+        assert_eq!(a.program_digest(|p| p.insts.len() as u128), a.program().insts.len() as u128);
+        let from_thread = std::thread::scope(|scope| {
+            scope
+                .spawn(|| b.program_digest(|_| panic!("a clone re-hashed its program")))
+                .join()
+                .expect("digest thread")
+        });
+        assert_eq!(from_thread, a.program().insts.len() as u128);
+        // A separately assembled workload owns a fresh slot.
+        let c = by_name("gcc").expect("gcc exists");
+        assert_eq!(c.program_digest(|_| 1), 1);
     }
 
     #[test]

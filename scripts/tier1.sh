@@ -101,8 +101,9 @@ cargo bench -p tdtm-bench --bench grid_throughput -- --quick --check "$PWD/BENCH
 
 echo "== tier 1: warm-repeat throughput smoke (grid_repeat_throughput vs BENCH_grid.json) =="
 # Cold vs warm-memory vs warm-disk repeats of the same 18x5 hot grid
-# through the content-addressed result cache; self-gates warm-mem >= 5x
-# cold cells/s and fails on >3x regression vs the committed rows.
+# through the content-addressed result cache; self-gates warm-mem >= 200x
+# and warm-disk >= 50x cold cells/s and fails on >3x regression vs the
+# committed rows.
 cargo bench -p tdtm-bench --bench grid_repeat_throughput -- --quick --check "$PWD/BENCH_grid.json"
 
 echo "== tier 1: reduction accuracy smoke (Table-3 compact extraction) =="
