@@ -10,7 +10,7 @@
 //! - `grid18x5_repeat_cold_ns_per_cell`: first contact — a fresh cache,
 //!   every cell simulates and publishes. This is the cached engine's
 //!   cold overhead row (fingerprinting + publication on top of the
-//!   plain batched dispatch).
+//!   plain grouped dispatch).
 //! - `grid18x5_repeat_warm_mem_ns_per_cell`: the same grid re-run
 //!   against the now-populated in-memory tier — every cell replays.
 //! - `grid18x5_repeat_warm_disk_ns_per_cell`: a fresh cache per
@@ -38,10 +38,6 @@ use tdtm_core::engine::ExperimentGrid;
 use tdtm_core::experiments::ExperimentScale;
 use tdtm_core::{ResultCache, SimConfig};
 use tdtm_dtm::PolicyKind;
-
-/// Regression tolerance for `--check`: current ns/op may be at most this
-/// many times the committed baseline.
-const CHECK_TOLERANCE: f64 = 3.0;
 
 /// Worker threads for the grid runs — fixed so the row is comparable
 /// across environments regardless of `TDTM_THREADS` or machine shape.
@@ -101,40 +97,6 @@ fn warm_pass(grid: &ExperimentGrid, cache: &ResultCache) -> f64 {
     assert_eq!(stats.cache_misses, 0, "warm pass must not simulate");
     black_box(&results.runs);
     results.wall_seconds
-}
-
-/// Minimal parser for the flat `{"name": ns, ...}` objects
-/// [`Harness::to_json`] emits.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((name, value)) = line.split_once(':') else { continue };
-        let name = name.trim().trim_matches('"');
-        if let Ok(ns) = value.trim().parse::<f64>() {
-            rows.push((name.to_string(), ns));
-        }
-    }
-    rows
-}
-
-fn check_against(baseline_path: &str, h: &Harness) -> bool {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline = parse_baseline(&text);
-    let mut ok = true;
-    for (name, ns) in h.results() {
-        let Some((_, base)) = baseline.iter().find(|(b, _)| b == name) else {
-            continue;
-        };
-        let ratio = ns / base;
-        let verdict = if ratio <= CHECK_TOLERANCE { "ok" } else { "REGRESSED" };
-        println!("check {name:<40} {ns:>14.0} vs {base:>14.0} ns/cell  ({ratio:>5.2}x)  {verdict}");
-        if ratio > CHECK_TOLERANCE {
-            ok = false;
-        }
-    }
-    ok
 }
 
 fn main() {
@@ -200,17 +162,5 @@ fn main() {
         std::process::exit(1);
     }
 
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args.get(i + 1).expect("--json needs a path");
-        std::fs::write(path, h.to_json()).expect("write json baseline");
-        eprintln!("wrote {path}");
-    }
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args.get(i + 1).expect("--check needs a path");
-        if !check_against(path, &h) {
-            eprintln!("bench regression check FAILED (>{CHECK_TOLERANCE}x vs {path})");
-            std::process::exit(1);
-        }
-        eprintln!("bench regression check passed (tolerance {CHECK_TOLERANCE}x)");
-    }
+    h.finish(&args);
 }

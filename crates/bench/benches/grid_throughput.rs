@@ -1,7 +1,7 @@
 //! Whole-grid fleet throughput: cells per second of the paper's 18 × 5
 //! result grid (every suite benchmark crossed with five DTM policies on
 //! a hot 107 C heatsink) through `ExperimentGrid::run_threads` — the
-//! quantity the batched SoA dispatch optimizes and the one
+//! quantity the grouped dispatch optimizes and the one
 //! `BENCH_grid.json` pins.
 //!
 //! Two rows, both normalized to ns per grid cell (grid wall time over
@@ -9,12 +9,13 @@
 //! holds):
 //!
 //! - `grid18x5_ref_ns_per_cell`: the per-cell reference dispatch (one
-//!   `Simulator::run` per cell, batching off).
-//! - `grid18x5_batch_ns_per_cell`: the batched SoA dispatch (eligible
-//!   cells packed into lockstep `ThermalBatch` groups).
+//!   `Simulator::run` per cell, grouping off).
+//! - `grid18x5_grouped_ns_per_cell`: the grouped dispatch (each
+//!   program's policy cells run as one policy group, forked where their
+//!   DTM commands diverge).
 //!
 //! The committed baseline also carries a `*_before` row — the per-cell
-//! dispatch measured before this optimization round, kept for the
+//! dispatch measured before an earlier optimization round, kept for the
 //! speedup record; `--check` ignores rows the current run does not
 //! produce.
 //!
@@ -31,10 +32,6 @@ use tdtm_core::engine::ExperimentGrid;
 use tdtm_core::experiments::ExperimentScale;
 use tdtm_core::SimConfig;
 use tdtm_dtm::PolicyKind;
-
-/// Regression tolerance for `--check`: current ns/op may be at most this
-/// many times the committed baseline.
-const CHECK_TOLERANCE: f64 = 3.0;
 
 /// Worker threads for the grid runs — fixed so the row is comparable
 /// across environments regardless of `TDTM_THREADS` or machine shape.
@@ -58,12 +55,12 @@ fn grid() -> ExperimentGrid {
 
 /// Times whole grid executions on [`THREADS`] workers, normalized to ns
 /// per cell, and prints the fleet rate in cells per second.
-fn bench_grid(h: &mut Harness, name: &str, batching: bool, reps: u32) {
+fn bench_grid(h: &mut Harness, name: &str, grouping: bool, reps: u32) {
     let grid = grid();
     let cells = grid.len() as f64;
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        let results = grid.run_threads_with_batching(THREADS, batching);
+        let results = grid.run_threads_with_grouping(THREADS, grouping);
         assert_eq!(results.runs.len(), grid.len());
         black_box(&results.runs);
         best = best.min(results.wall_seconds);
@@ -77,40 +74,6 @@ fn bench_grid(h: &mut Harness, name: &str, batching: bool, reps: u32) {
     h.push_row(name, ns);
 }
 
-/// Minimal parser for the flat `{"name": ns, ...}` objects
-/// [`Harness::to_json`] emits.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((name, value)) = line.split_once(':') else { continue };
-        let name = name.trim().trim_matches('"');
-        if let Ok(ns) = value.trim().parse::<f64>() {
-            rows.push((name.to_string(), ns));
-        }
-    }
-    rows
-}
-
-fn check_against(baseline_path: &str, h: &Harness) -> bool {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline = parse_baseline(&text);
-    let mut ok = true;
-    for (name, ns) in h.results() {
-        let Some((_, base)) = baseline.iter().find(|(b, _)| b == name) else {
-            continue;
-        };
-        let ratio = ns / base;
-        let verdict = if ratio <= CHECK_TOLERANCE { "ok" } else { "REGRESSED" };
-        println!("check {name:<40} {ns:>14.0} vs {base:>14.0} ns/cell  ({ratio:>5.2}x)  {verdict}");
-        if ratio > CHECK_TOLERANCE {
-            ok = false;
-        }
-    }
-    ok
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -118,19 +81,7 @@ fn main() {
     let mut h = Harness::new();
 
     bench_grid(&mut h, "grid18x5_ref_ns_per_cell", false, reps);
-    bench_grid(&mut h, "grid18x5_batch_ns_per_cell", true, reps);
+    bench_grid(&mut h, "grid18x5_grouped_ns_per_cell", true, reps);
 
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args.get(i + 1).expect("--json needs a path");
-        std::fs::write(path, h.to_json()).expect("write json baseline");
-        eprintln!("wrote {path}");
-    }
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args.get(i + 1).expect("--check needs a path");
-        if !check_against(path, &h) {
-            eprintln!("bench regression check FAILED (>{CHECK_TOLERANCE}x vs {path})");
-            std::process::exit(1);
-        }
-        eprintln!("bench regression check passed (tolerance {CHECK_TOLERANCE}x)");
-    }
+    h.finish(&args);
 }

@@ -38,10 +38,6 @@ use tdtm_thermal::block_model::{table3_blocks, BlockModel};
 use tdtm_uarch::{Core, CoreConfig};
 use tdtm_workloads::by_name;
 
-/// Regression tolerance for `--check`: current ns/op may be at most this
-/// many times the committed baseline.
-const CHECK_TOLERANCE: f64 = 3.0;
-
 /// Minimum speedups idle-gap skipping must deliver, as `(row, floor)`:
 /// the row's `_noskip` twin must take at least `floor` times as long.
 /// The gaps are several-fold in practice (the fully gated toggle row, and
@@ -135,40 +131,6 @@ fn bench_chip_run(
         cfg.chip.cores,
     );
     h.push_row(name, ns);
-}
-
-/// Minimal parser for the flat `{"name": ns, ...}` objects
-/// [`Harness::to_json`] emits.
-fn parse_baseline(text: &str) -> Vec<(String, f64)> {
-    let mut rows = Vec::new();
-    for line in text.lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((name, value)) = line.split_once(':') else { continue };
-        let name = name.trim().trim_matches('"');
-        if let Ok(ns) = value.trim().parse::<f64>() {
-            rows.push((name.to_string(), ns));
-        }
-    }
-    rows
-}
-
-fn check_against(baseline_path: &str, h: &Harness) -> bool {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-    let baseline = parse_baseline(&text);
-    let mut ok = true;
-    for (name, ns) in h.results() {
-        let Some((_, base)) = baseline.iter().find(|(b, _)| b == name) else {
-            continue;
-        };
-        let ratio = ns / base;
-        let verdict = if ratio <= CHECK_TOLERANCE { "ok" } else { "REGRESSED" };
-        println!("check {name:<40} {ns:>10.2} vs {base:>10.2} ns/op  ({ratio:>5.2}x)  {verdict}");
-        if ratio > CHECK_TOLERANCE {
-            ok = false;
-        }
-    }
-    ok
 }
 
 fn main() {
@@ -282,17 +244,5 @@ fn main() {
         }
     }
 
-    if let Some(i) = args.iter().position(|a| a == "--json") {
-        let path = args.get(i + 1).expect("--json needs a path");
-        std::fs::write(path, h.to_json()).expect("write json baseline");
-        eprintln!("wrote {path}");
-    }
-    if let Some(i) = args.iter().position(|a| a == "--check") {
-        let path = args.get(i + 1).expect("--check needs a path");
-        if !check_against(path, &h) {
-            eprintln!("bench regression check FAILED (>{CHECK_TOLERANCE}x vs {path})");
-            std::process::exit(1);
-        }
-        eprintln!("bench regression check passed (tolerance {CHECK_TOLERANCE}x)");
-    }
+    h.finish(&args);
 }

@@ -16,6 +16,10 @@ pub fn black_box<T>(x: T) -> T {
     std_black_box(x)
 }
 
+/// Regression tolerance of `--check` (see [`Harness::finish`]): a row
+/// may take at most this many times its committed baseline.
+pub const CHECK_TOLERANCE: f64 = 3.0;
+
 /// Target wall time per measured batch.
 const BATCH_SECONDS: f64 = 0.02;
 /// Number of measured batches; the minimum is reported.
@@ -94,6 +98,65 @@ impl Harness {
         out.push_str("}\n");
         out
     }
+
+    /// Compares the recorded rows against `baseline` (the flat JSON
+    /// [`to_json`](Harness::to_json) writes), printing one verdict line
+    /// per row the baseline also holds. Returns whether every such row
+    /// stays within `tolerance` times its baseline; rows the baseline
+    /// lacks, and baseline rows this run did not measure, are ignored.
+    pub fn check_against(&self, baseline: &str, tolerance: f64) -> bool {
+        let baseline = parse_baseline(baseline);
+        let mut ok = true;
+        for (name, ns) in &self.rows {
+            let Some((_, base)) = baseline.iter().find(|(b, _)| b == name) else {
+                continue;
+            };
+            let ratio = ns / base;
+            let verdict = if ratio <= tolerance { "ok" } else { "REGRESSED" };
+            println!("check {name:<40} {ns:>14.2} vs {base:>14.2} ns/op  ({ratio:>5.2}x)  {verdict}");
+            ok &= ratio <= tolerance;
+        }
+        ok
+    }
+
+    /// Handles the flags every bench binary shares, once all rows are
+    /// recorded: `--json <path>` writes the rows as a baseline, and
+    /// `--check <path>` compares them against a committed one, exiting
+    /// nonzero if any shared row regressed more than
+    /// [`CHECK_TOLERANCE`]×.
+    pub fn finish(&self, args: &[String]) {
+        if let Some(i) = args.iter().position(|a| a == "--json") {
+            let path = args.get(i + 1).expect("--json needs a path");
+            std::fs::write(path, self.to_json()).expect("write json baseline");
+            eprintln!("wrote {path}");
+        }
+        if let Some(i) = args.iter().position(|a| a == "--check") {
+            let path = args.get(i + 1).expect("--check needs a path");
+            let text = std::fs::read_to_string(path)
+                .unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
+            if !self.check_against(&text, CHECK_TOLERANCE) {
+                eprintln!("bench regression check FAILED (>{CHECK_TOLERANCE}x vs {path})");
+                std::process::exit(1);
+            }
+            eprintln!("bench regression check passed (tolerance {CHECK_TOLERANCE}x)");
+        }
+    }
+}
+
+/// Reads the numeric rows of a flat `{"name": ns, ...}` baseline (the
+/// shape [`Harness::to_json`] writes); other keys, such as a
+/// `"_comment"` string, are skipped.
+fn parse_baseline(text: &str) -> Vec<(String, f64)> {
+    let mut rows = Vec::new();
+    for line in text.lines() {
+        let line = line.trim().trim_end_matches(',');
+        let Some((name, value)) = line.split_once(':') else { continue };
+        let name = name.trim().trim_matches('"');
+        if let Ok(ns) = value.trim().parse::<f64>() {
+            rows.push((name.to_string(), ns));
+        }
+    }
+    rows
 }
 
 #[cfg(test)]
@@ -113,5 +176,17 @@ mod tests {
         let json = h.to_json();
         assert!(json.starts_with("{\n  \"wrapping_add\": "));
         assert!(json.ends_with("}\n"));
+    }
+
+    #[test]
+    fn check_against_gates_shared_rows_only() {
+        let mut h = Harness::new();
+        h.push_row("steady", 250.0);
+        h.push_row("slower", 400.0);
+        h.push_row("new_row", 1e12);
+        let baseline = "{\n  \"_comment\": \"a: b\",\n  \"steady\": 100.00,\n  \"slower\": 100.00,\n  \"gone\": 1.00\n}\n";
+        assert!(!h.check_against(baseline, 3.0), "4x is past a 3x tolerance");
+        assert!(h.check_against(baseline, 4.0), "unmeasured and new rows are ignored");
+        assert!(h.check_against(&h.to_json(), 1.0), "a run passes against itself");
     }
 }

@@ -3,7 +3,7 @@
 //! ROADMAP item 4 (experiment service mode) needs repeat and overlapping
 //! capacity-planning queries to be near-free. PR 8 made the cacheable
 //! artifacts exact — [`RunReport`]s are byte-identical across threads,
-//! batching, and skipping — so memoization can be *exact*, not
+//! grouping, and skipping — so memoization can be *exact*, not
 //! approximate: a cache hit replays the identical bytes a fresh
 //! simulation would produce.
 //!
@@ -38,8 +38,8 @@
 //! then share the artifact. Identical cells within one grid therefore
 //! simulate once.
 //!
-//! Set `TDTM_CACHE=0` to opt out entirely (mirroring `TDTM_BATCH` /
-//! `TDTM_SKIP`); the engine then takes exactly the pre-cache paths.
+//! Set `TDTM_CACHE=0` to opt out entirely (mirroring `TDTM_SKIP`); the
+//! engine then takes exactly the pre-cache paths.
 
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
@@ -461,7 +461,7 @@ impl ResultCache {
     }
 
     /// Whether `TDTM_CACHE` leaves the cache enabled (on unless `0` or
-    /// `off`, mirroring `TDTM_BATCH`/`TDTM_SKIP`).
+    /// `off`, mirroring `TDTM_SKIP`).
     pub fn enabled_in_env() -> bool {
         !matches!(
             std::env::var("TDTM_CACHE").ok().as_deref().map(str::trim),
@@ -901,6 +901,7 @@ mod tests {
             ("wrong version", valid.replace("{\"v\":1,", "{\"v\":99,")),
             ("schema drift", drifted),
             ("wrong shape", "[1,2,3]".to_string()),
+            ("100k-deep nesting", "[".repeat(100_000)),
         ];
         for (name, contents) in cases {
             std::fs::write(&entry, &contents).expect("write corrupt entry");

@@ -61,16 +61,6 @@ pub fn thread_count() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }
 
-/// Whether [`ExperimentGrid::run_threads`] uses the batched SoA path
-/// for eligible cells: on unless the `TDTM_BATCH` environment variable
-/// is `0` or `off`.
-fn batching_default() -> bool {
-    !matches!(
-        std::env::var("TDTM_BATCH").ok().as_deref().map(str::trim),
-        Some("0") | Some("off")
-    )
-}
-
 /// Applies `f` to every item of `items`, sharding the work across
 /// `threads` scoped worker threads. Workers pull items from a shared
 /// atomic cursor (so uneven cell costs still balance), but the returned
@@ -119,7 +109,7 @@ where
 }
 
 /// Assembles one cell's [`RunResult`] from its report — the shared
-/// tail of the solo, batched, cached, and follower paths.
+/// tail of the solo, grouped, cached, and follower paths.
 fn result_from_report(cell: &GridCell, report: RunReport, wall: f64) -> RunResult {
     RunResult {
         index: cell.index,
@@ -132,75 +122,52 @@ fn result_from_report(cell: &GridCell, report: RunReport, wall: f64) -> RunResul
     }
 }
 
-/// Runs a set of cells with batched dispatch: consecutive batch-eligible
-/// cells pack into lockstep SoA batches ([`crate::batch`], up to
-/// [`crate::batch::BATCH_LANES`] per work item; a trailing group of one
-/// stays solo — the chunked fast loop is cheaper for a lone cell), and
-/// everything else runs the per-cell chip path. `publish` runs in the
-/// worker for each finished result (the cached path's publication hook;
-/// a no-op for plain runs). Results come back in completion order —
-/// callers sort or index by [`RunResult::index`].
-fn run_cells_batched(
+/// Runs a set of cells with grouped dispatch: cells that differ only in
+/// their DTM policy form one policy group ([`crate::group`]), simulated
+/// as one trajectory that forks where the members' commands diverge;
+/// everything else — and a group of one — runs the per-cell chip path.
+/// `publish` runs in the worker for each finished result (the cached
+/// path's publication hook; a no-op for plain runs). Results come back
+/// in completion order — callers sort or index by [`RunResult::index`].
+fn run_cells_grouped(
     cells: &[&GridCell],
     threads: usize,
     publish: &(dyn Fn(&RunResult) + Sync),
 ) -> Vec<RunResult> {
-    enum Item<'a> {
-        Solo(&'a GridCell),
-        Group(Vec<&'a GridCell>),
-    }
-    let mut items: Vec<Item> = Vec::new();
-    let mut group: Vec<&GridCell> = Vec::new();
+    // Work items in order of each one's first cell.
+    let mut items: Vec<Vec<&GridCell>> = Vec::new();
+    let mut item_of: HashMap<u128, usize> = HashMap::new();
     for &cell in cells {
-        if crate::batch::batch_eligible(&cell.config()) {
-            group.push(cell);
-            if group.len() == crate::batch::BATCH_LANES {
-                items.push(Item::Group(std::mem::take(&mut group)));
-            }
-        } else {
-            items.push(Item::Solo(cell));
+        match crate::group::group_key(cell) {
+            Some(key) => match item_of.get(&key) {
+                Some(&item) => items[item].push(cell),
+                None => {
+                    item_of.insert(key, items.len());
+                    items.push(vec![cell]);
+                }
+            },
+            None => items.push(vec![cell]),
         }
-    }
-    match group.len() {
-        0 => {}
-        1 => items.push(Item::Solo(group[0])),
-        _ => items.push(Item::Group(group)),
     }
 
-    let sharded = shard_map(&items, threads, |_, item| match item {
-        Item::Solo(cell) => {
-            let start = Instant::now();
-            let (report, _chip) = cell.run_chip();
-            let wall = start.elapsed().as_secs_f64();
-            let run = result_from_report(cell, report, wall);
-            publish(&run);
-            vec![run]
-        }
-        Item::Group(cells) => {
-            let start = Instant::now();
-            let mut batch = crate::batch::GridBatch::new();
-            for cell in cells {
-                batch.push(cell);
-            }
-            let reports = batch.run();
-            // Lanes finish at their own stop conditions inside one
-            // lockstep run, so per-cell wall time is not separable;
-            // each cell is charged an even share (wall_seconds is
-            // nondeterministic and never part of identity pins).
-            let wall = start.elapsed().as_secs_f64() / cells.len() as f64;
-            reports
-                .into_iter()
-                .map(|(index, report)| {
-                    let cell = cells
-                        .iter()
-                        .find(|c| c.index == index)
-                        .expect("report keyed by a pushed cell");
-                    let run = result_from_report(cell, report, wall);
-                    publish(&run);
-                    run
-                })
-                .collect()
-        }
+    let sharded = shard_map(&items, threads, |_, item| {
+        let start = Instant::now();
+        let reports = match item.as_slice() {
+            [cell] => vec![cell.run_chip().0],
+            group => crate::group::run_policy_group(group).reports,
+        };
+        // Members share one simulation, so per-cell wall time is not
+        // separable; each cell is charged an even share (wall_seconds is
+        // nondeterministic and never part of identity pins).
+        let wall = start.elapsed().as_secs_f64() / item.len() as f64;
+        item.iter()
+            .zip(reports)
+            .map(|(cell, report)| {
+                let run = result_from_report(cell, report, wall);
+                publish(&run);
+                run
+            })
+            .collect::<Vec<_>>()
     });
     sharded.into_iter().flatten().collect()
 }
@@ -532,12 +499,12 @@ impl ExperimentGrid {
     /// a multicore chip run on the chip simulator (reporting core 0);
     /// everything else takes the single-core path.
     ///
-    /// Uninstrumented single-core cells are additionally packed into
-    /// SoA thermal batches ([`crate::batch`]) and advanced in lockstep,
-    /// up to [`crate::batch::BATCH_LANES`] per work item — a host-side
-    /// execution strategy that leaves every report byte-identical to
-    /// the per-cell path (pinned by `tests/engine.rs`). Set
-    /// `TDTM_BATCH=0` to force the per-cell reference path.
+    /// Uninstrumented single-core cells that differ only in their DTM
+    /// policy additionally run as policy groups ([`crate::group`]): one
+    /// simulation per distinct trajectory, forked where the members'
+    /// commands diverge — a host-side execution strategy that leaves
+    /// every report byte-identical to the per-cell path (pinned by
+    /// `tests/engine.rs` and `tests/policy_groups.rs`).
     ///
     /// Runs through the process-wide content-addressed result cache
     /// ([`ResultCache::global`]) unless `TDTM_CACHE=0`: previously
@@ -545,17 +512,17 @@ impl ExperimentGrid {
     /// simulating, and identical cells within the grid simulate once.
     pub fn run_threads(&self, threads: usize) -> GridResults {
         match ResultCache::global() {
-            Some(cache) => self.run_threads_cached(threads, batching_default(), cache),
-            None => self.run_threads_with_batching(threads, batching_default()),
+            Some(cache) => self.run_threads_cached(threads, true, cache),
+            None => self.run_threads_with_grouping(threads, true),
         }
     }
 
-    /// [`run_threads`](ExperimentGrid::run_threads) with the batched
-    /// dispatch chosen explicitly instead of from `TDTM_BATCH`, and no
-    /// result cache — the exact reference path identity tests and
-    /// benchmarks compare against.
-    pub fn run_threads_with_batching(&self, threads: usize, batching: bool) -> GridResults {
-        if !batching {
+    /// [`run_threads`](ExperimentGrid::run_threads) with no result cache
+    /// and the grouped dispatch chosen explicitly: `grouping == false`
+    /// runs every cell on its own — the per-cell reference path identity
+    /// tests and benchmarks compare against.
+    pub fn run_threads_with_grouping(&self, threads: usize, grouping: bool) -> GridResults {
+        if !grouping {
             return self.run_with_threads(threads, |cell| {
                 let (report, _chip) = cell.run_chip();
                 (report, ())
@@ -564,7 +531,7 @@ impl ExperimentGrid {
         let cells = self.cells();
         let grid_start = Instant::now();
         let cell_refs: Vec<&GridCell> = cells.iter().collect();
-        let mut runs = run_cells_batched(&cell_refs, threads, &|_| {});
+        let mut runs = run_cells_grouped(&cell_refs, threads, &|_| {});
         runs.sort_by_key(|r| r.index);
         GridResults {
             runs,
@@ -578,15 +545,15 @@ impl ExperimentGrid {
     /// [`run_threads`](ExperimentGrid::run_threads) against an explicit
     /// [`ResultCache`] (tests and benchmarks use their own instead of
     /// the process-wide one). Cached cells replay without simulating;
-    /// misses run on the usual solo/batched paths and publish their
+    /// misses run on the usual solo/grouped paths and publish their
     /// artifact as they complete; identical cells within the grid are
     /// deduped against the in-flight leader. Reports are byte-identical
-    /// to [`run_threads_with_batching`](ExperimentGrid::run_threads_with_batching)
+    /// to [`run_threads_with_grouping`](ExperimentGrid::run_threads_with_grouping)
     /// — pinned by `tests/engine.rs`.
     pub fn run_threads_cached(
         &self,
         threads: usize,
-        batching: bool,
+        grouping: bool,
         cache: &ResultCache,
     ) -> GridResults {
         let cells = self.cells();
@@ -638,8 +605,8 @@ impl ExperimentGrid {
                 CellArtifact { report: run.report.clone(), record: None },
             );
         };
-        let miss_runs = if batching {
-            run_cells_batched(&miss_cells, threads, &publish)
+        let miss_runs = if grouping {
+            run_cells_grouped(&miss_cells, threads, &publish)
         } else {
             shard_map(&miss_cells, threads, |_, cell| {
                 let start = Instant::now();

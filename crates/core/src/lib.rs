@@ -19,6 +19,9 @@
 //! * [`engine`] — the parallel experiment engine: [`ExperimentGrid`]
 //!   shards (workload × policy × variant) cells across scoped threads
 //!   (`TDTM_THREADS`) with deterministic, cell-ordered results;
+//! * [`group`] — policy groups: a program's cells that differ only in
+//!   their DTM policy, simulated once and forked where their commands
+//!   diverge;
 //! * [`report`] — plain-text table formatting shared by the `tdtm-bench`
 //!   binaries.
 //!
@@ -38,11 +41,11 @@
 //! assert!(report.committed >= 30_000);
 //! ```
 
-pub mod batch;
 pub mod cache;
 pub mod config;
 pub mod engine;
 pub mod experiments;
+pub mod group;
 pub mod metrics;
 pub mod multicore;
 pub mod replay;

@@ -8,7 +8,7 @@ use std::time::Instant;
 use tdtm_control::pid::PidSample;
 use tdtm_dtm::{build_policy_at, DtmCommand, DtmPolicy, SensorModel, TriggerMechanism};
 use tdtm_isa::Program;
-use tdtm_power::PowerModel;
+use tdtm_power::{LeakageModel, PowerModel, PowerSample};
 use tdtm_telemetry::{
     ControllerSample, Event, EventTrace, Phase, PhaseProfile, Telemetry, TelemetryConfig,
     ThresholdKind,
@@ -27,27 +27,11 @@ pub(crate) const NUM_THERMAL: usize = 7;
 pub(crate) const MIN_SKIP_WINDOW: u64 = 4;
 
 /// Whether the fast loops fast-forward across provably-idle windows:
-/// on unless the `TDTM_SKIP` environment variable is `0` or `off`
-/// (mirroring `TDTM_BATCH` for the SoA grid path).
+/// on unless the `TDTM_SKIP` environment variable is `0` or `off`.
 pub(crate) fn skip_default() -> bool {
     !matches!(
         std::env::var("TDTM_SKIP").ok().as_deref().map(str::trim),
         Some("0") | Some("off")
-    )
-}
-
-/// Whether skipped *uncounted* windows use the approximate `powf`
-/// closed form instead of the bit-exact iterated fold: off unless
-/// `TDTM_SKIP_CLOSED` is `1` or `on`. Opt-in because it rounds
-/// differently from the per-cycle recurrence and therefore breaks
-/// byte-identity with the reference loop.
-pub(crate) fn closed_form_default() -> bool {
-    matches!(
-        std::env::var("TDTM_SKIP_CLOSED")
-            .ok()
-            .as_deref()
-            .map(str::trim),
-        Some("1") | Some("on")
     )
 }
 
@@ -117,22 +101,13 @@ enum ProxyKind {
 /// A full simulation of one program under one configuration.
 pub struct Simulator {
     cfg: SimConfig,
-    core: Core,
+    m: Machine,
     power: std::sync::Arc<PowerModel>,
-    thermal: BlockModel,
     policy: Box<dyn DtmPolicy>,
-    sensors: SensorModel,
     proxies: Vec<ProxyAttachment>,
     name: String,
     /// Commands awaiting their (interrupt-delayed) application cycle.
     pending: VecDeque<(u64, DtmCommand)>,
-    /// Remaining stall cycles from a V/f resynchronization.
-    resync_remaining: u64,
-    /// Current V/f power scale (1.0 at nominal).
-    vf_power_scale: f64,
-    /// Current frequency scale (1.0 at nominal).
-    vf_freq_scale: f64,
-    vf_engaged: bool,
     /// Per-run duty trace (sampled), for diagnostics.
     duty_history: Vec<f64>,
     /// Optional downsampled trace recording.
@@ -151,14 +126,30 @@ pub struct Simulator {
     /// Fast-forwards the fast loop across provably-idle windows (see
     /// [`set_skip`](Simulator::set_skip); defaults from `TDTM_SKIP`).
     skip: bool,
-    /// Uses the approximate closed form for *uncounted* skipped windows
-    /// (see [`set_skip_closed`](Simulator::set_skip_closed)).
-    skip_closed: bool,
     /// Records one [`SkipWindow`] per fast-forwarded window when enabled
     /// (off by default so long runs don't grow a log nobody reads).
     log_skip_windows: bool,
     /// The skip-window log of the last run (when enabled).
     skip_windows: Vec<SkipWindow>,
+}
+
+/// The simulated machine a run advances: core, thermal model, sensors,
+/// and the V/f actuator state — everything but the policy and the
+/// instrumentation. Cloning it forks a run: a policy group
+/// ([`crate::group`]) clones the machine where its members' DTM
+/// commands diverge.
+#[derive(Clone)]
+pub(crate) struct Machine {
+    pub(crate) core: Core,
+    pub(crate) thermal: BlockModel,
+    sensors: SensorModel,
+    /// Remaining stall cycles from a V/f resynchronization.
+    resync_remaining: u64,
+    /// Current V/f power scale (1.0 at nominal).
+    vf_power_scale: f64,
+    /// Current frequency scale (1.0 at nominal).
+    vf_freq_scale: f64,
+    vf_engaged: bool,
 }
 
 /// In-flight telemetry collection: the collectors plus the cheap local
@@ -542,6 +533,7 @@ impl RunPlan {
 /// assembled from this struct alone ([`finalize_report`]), so every loop
 /// finalizes through one code path and a given simulation yields
 /// byte-identical reports whichever loop ran it.
+#[derive(Clone, Debug)]
 pub(crate) struct RunAccum {
     pub(crate) cycle: u64,
     pub(crate) counted_cycles: u64,
@@ -622,18 +614,98 @@ impl RunAccum {
             self.stress_cycles += 1;
         }
     }
+
+    /// Advances `thermal` across a `cycles`-long constant-power gap and
+    /// folds every one of its cycles into the accumulators: the same
+    /// result, bit for bit, as stepping `thermal` once per cycle and
+    /// calling [`record_cycle`](RunAccum::record_cycle) after each step.
+    /// Every accumulator sees the same f64 operations in the same order;
+    /// only the interleaving across accumulators changes. The
+    /// temperature-driven ones (block sums, maxima, threshold counts)
+    /// run in locals inside the fold, the constant-power chains
+    /// (`wall_time`, `sum_power`, `block_sum_p`) in a loop of their own,
+    /// and the power maxima, which a repeated operand cannot move twice,
+    /// apply once. The thresholds are `fl`'s.
+    pub(crate) fn record_gap(
+        &mut self,
+        thermal: &mut BlockModel,
+        powers: &[f64; NUM_THERMAL],
+        total_power: f64,
+        dt_wall: f64,
+        cycles: u64,
+        fl: &FastLoop,
+    ) {
+        if cycles == 0 {
+            return;
+        }
+        let (emergency, stress) = (fl.emergency, fl.stress);
+        let mut sum_t = self.block_sum_t;
+        let mut max_t = self.block_max_t;
+        let mut emerg = self.block_emerg;
+        let mut stressed = self.block_stress;
+        let (mut emergency_cycles, mut stress_cycles) = (0u64, 0u64);
+        thermal.step_gap_observed(powers, cycles, |temps| {
+            let mut any_e = false;
+            let mut any_s = false;
+            for i in 0..NUM_THERMAL {
+                let t = temps[i];
+                sum_t[i] += t;
+                max_t[i] = max_t[i].max(t);
+                if t > emergency {
+                    emerg[i] += 1;
+                    any_e = true;
+                }
+                if t > stress {
+                    stressed[i] += 1;
+                    any_s = true;
+                }
+            }
+            emergency_cycles += u64::from(any_e);
+            stress_cycles += u64::from(any_s);
+        });
+        self.block_sum_t = sum_t;
+        self.block_max_t = max_t;
+        self.block_emerg = emerg;
+        self.block_stress = stressed;
+        self.emergency_cycles += emergency_cycles;
+        self.stress_cycles += stress_cycles;
+        for _ in 0..cycles {
+            self.wall_time += dt_wall;
+            self.sum_power += total_power;
+            for (sum, &p) in self.block_sum_p.iter_mut().zip(powers) {
+                *sum += p;
+            }
+        }
+        self.counted_cycles += cycles;
+        self.max_power = self.max_power.max(total_power);
+        for (max, &p) in self.block_max_p.iter_mut().zip(powers) {
+            *max = max.max(p);
+        }
+    }
 }
 
 /// The warm-start jump applied at the end of the first sampling interval:
 /// every block jumps to the steady state of its observed average power,
-/// capped at the policy's control ceiling (under DTM the machine could
-/// never have reached a temperature the policy would have prevented — the
-/// setpoint for control-theoretic policies, the trigger for the threshold
-/// policies). Shared by both single-core run loops and, per core, by the
-/// multicore simulator.
+/// capped at the policy's control ceiling ([`warm_start_ceiling`]).
+/// Shared by the reference loop and, per core, by the multicore
+/// simulator; the fast loop pauses between the two halves
+/// ([`warm_start_spread`], [`clamp_to_ceiling`]) so a policy group can
+/// fork there.
 pub(crate) fn warm_start_jump(
     thermal: &mut BlockModel,
     dtm: &tdtm_dtm::DtmConfig,
+    warm_start_power: &mut [f64; NUM_THERMAL],
+    interval: u64,
+) {
+    warm_start_spread(thermal, warm_start_power, interval);
+    clamp_to_ceiling(thermal, warm_start_ceiling(dtm));
+}
+
+/// The policy-independent half of the warm-start jump: every block jumps
+/// to the steady state of its average power over the first `interval`
+/// cycles.
+pub(crate) fn warm_start_spread(
+    thermal: &mut BlockModel,
     warm_start_power: &mut [f64; NUM_THERMAL],
     interval: u64,
 ) {
@@ -641,18 +713,36 @@ pub(crate) fn warm_start_jump(
         *p /= interval as f64;
     }
     thermal.warm_start(&warm_start_power[..]);
-    if dtm.policy != tdtm_dtm::PolicyKind::None {
-        let ceiling = if dtm.policy.is_control_theoretic() {
+}
+
+/// The temperature a warm start may not exceed under `dtm`'s policy:
+/// under DTM the machine could never have reached a temperature the
+/// policy would have prevented — the setpoint for control-theoretic
+/// policies, the trigger for the threshold policies. `None` without DTM.
+pub(crate) fn warm_start_ceiling(dtm: &tdtm_dtm::DtmConfig) -> Option<f64> {
+    (dtm.policy != tdtm_dtm::PolicyKind::None).then(|| {
+        if dtm.policy.is_control_theoretic() {
             dtm.setpoint
         } else {
             dtm.trigger
-        };
-        for i in 0..NUM_THERMAL {
-            let t = thermal.temperatures()[i];
-            if t > ceiling {
-                thermal.set_temperature(i, ceiling);
-            }
         }
+    })
+}
+
+/// A block temperature after the warm-start clamp to `ceiling`.
+pub(crate) fn clamped(t: f64, ceiling: Option<f64>) -> f64 {
+    match ceiling {
+        Some(c) if t > c => c,
+        _ => t,
+    }
+}
+
+/// The policy-dependent half of the warm-start jump: caps every block at
+/// `ceiling`.
+pub(crate) fn clamp_to_ceiling(thermal: &mut BlockModel, ceiling: Option<f64>) {
+    for i in 0..NUM_THERMAL {
+        let t = thermal.temperatures()[i];
+        thermal.set_temperature(i, clamped(t, ceiling));
     }
 }
 
@@ -751,24 +841,16 @@ impl Simulator {
         skip: u64,
         power: Option<std::sync::Arc<PowerModel>>,
     ) -> Simulator {
-        let core = Core::with_skip_shared(cfg.core, program, skip);
         let power =
             power.unwrap_or_else(|| std::sync::Arc::new(PowerModel::new(&cfg.power, &cfg.core)));
-        let thermal = BlockModel::new(cfg.blocks.clone(), cfg.heatsink_temp, cfg.cycle_time());
         let policy = build_policy_at(&cfg.dtm, cfg.core.clock_hz);
         Simulator {
-            core,
+            m: Machine::new(&cfg, program, skip),
             power,
-            thermal,
             policy,
-            sensors: SensorModel::ideal(),
             proxies: Vec::new(),
             name: name.to_string(),
             pending: VecDeque::new(),
-            resync_remaining: 0,
-            vf_power_scale: 1.0,
-            vf_freq_scale: 1.0,
-            vf_engaged: false,
             duty_history: Vec::new(),
             trace: None,
             power_trace: None,
@@ -776,7 +858,6 @@ impl Simulator {
             collected: None,
             reference_loop: false,
             skip: skip_default(),
-            skip_closed: closed_form_default(),
             log_skip_windows: false,
             skip_windows: Vec::new(),
             cfg,
@@ -790,7 +871,7 @@ impl Simulator {
     /// telemetry on or off.
     pub fn enable_telemetry(&mut self, cfg: &TelemetryConfig) {
         if cfg.phases {
-            self.core.set_stage_profiling(true);
+            self.m.core.set_stage_profiling(true);
         }
         self.telemetry = Some(Box::new(TelemetryState::new(cfg)));
     }
@@ -846,7 +927,7 @@ impl Simulator {
 
     /// Replaces the ideal sensors (for the sensor-fidelity ablation).
     pub fn set_sensors(&mut self, sensors: SensorModel) {
-        self.sensors = sensors;
+        self.m.sensors = sensors;
     }
 
     /// Attaches a per-structure boxcar power proxy with the given window,
@@ -888,7 +969,7 @@ impl Simulator {
 
     /// Current block temperatures (for tracing examples).
     pub fn temperatures(&self) -> &[f64] {
-        self.thermal.temperatures()
+        self.m.thermal.temperatures()
     }
 
     /// Forces the fully instrumented reference loop even when a run
@@ -907,16 +988,6 @@ impl Simulator {
     /// `tests/hot_loop_identity.rs`).
     pub fn set_skip(&mut self, on: bool) {
         self.skip = on;
-    }
-
-    /// Opts *uncounted* skipped windows into the `powf` closed form
-    /// (one exponentiation instead of a k-cycle fold), overriding the
-    /// `TDTM_SKIP_CLOSED` default. The closed form rounds differently
-    /// from the per-cycle recurrence, so this trades byte-identity for
-    /// speed; the drift is property-tested to stay within
-    /// `1e-9 · max(T − heatsink, 1)` per window.
-    pub fn set_skip_closed(&mut self, on: bool) {
-        self.skip_closed = on;
     }
 
     /// Enables skip-window logging for the next [`run`](Simulator::run):
@@ -952,14 +1023,14 @@ impl Simulator {
         // loop so its mutable borrows stay disjoint from the simulator's
         // components; reattached as `collected` at the end.
         let mut tstate = self.telemetry.take();
-        let stage_nanos_start = self.core.stage_nanos();
-        let core_cycles_start = self.core.stats().cycles;
+        let stage_nanos_start = self.m.core.stage_nanos();
+        let core_cycles_start = self.m.core.stats().cycles;
 
         if plan.fast() && !self.reference_loop {
             if plan.leakage {
-                self.run_fast::<true>(&mut acc, plan);
+                self.run_fast::<true>(&mut acc);
             } else {
-                self.run_fast::<false>(&mut acc, plan);
+                self.run_fast::<false>(&mut acc);
             }
         } else {
             self.run_reference(&mut acc, plan, &mut tstate);
@@ -967,7 +1038,7 @@ impl Simulator {
 
         if let Some(ts) = tstate {
             self.collected = Some(ts.flush(
-                &self.core,
+                &self.m.core,
                 acc.cycle,
                 acc.samples,
                 stage_nanos_start,
@@ -977,212 +1048,31 @@ impl Simulator {
         self.finalize(&acc)
     }
 
-    /// The specialized uninstrumented cycle loop.
+    /// The specialized uninstrumented cycle loop: [`Machine::advance`]
+    /// from one DTM boundary to the next, sampling the policy at each.
     ///
     /// Eligibility ([`RunPlan::fast`]) guarantees nothing observes or
     /// perturbs the simulation between consecutive DTM-sample
-    /// boundaries, so the loop runs in chunks that end exactly on the
-    /// next boundary and samples once per chunk instead of testing
-    /// `(cycle + 1) % interval` every cycle. Leakage is monomorphized
-    /// out via `LEAK`, and the power-scale / leakage-add / exact-decay
-    /// passes are fused into one sweep over the blocks
-    /// ([`BlockModel::step_fused`]) with bit-identical arithmetic.
-    ///
-    /// Boundary math: DTM samples fire on cycles where
-    /// `(cycle + 1) % interval == 0` — the *last* cycle of each
-    /// interval-aligned chunk — so from any `cycle` the boundary is
-    /// `interval - cycle % interval` cycles ahead, inclusive. Stop
-    /// conditions (instruction budget, cycle budget, program halt) can
-    /// fire mid-chunk and are still checked every cycle, in exactly the
-    /// reference loop's order; a mid-chunk stop skips the boundary
-    /// sample just as the reference loop would.
-    ///
-    /// Idle-gap skipping: when the core proves a k-cycle window idle
-    /// ([`Core::idle_window`]: fetch gated shut, or the pipeline drained
-    /// or back-pressured — window, LSQ, rename pipe and IFQ full behind a
-    /// miss — against a known wake cycle) — or the loop is inside a V/f resync
-    /// stall — every cycle in the window draws the same idle power, so
-    /// the loop folds the window with a constant-power thermal kernel
-    /// ([`BlockModel::step_gap_observed`] /
-    /// [`BlockModel::step_gap_fixed`]) and jumps the cycle counter,
-    /// never touching the pipeline. The fold iterates the per-cycle
-    /// recurrence in the same order with the same bits, and counted
-    /// cycles still fold into the accumulator one at a time, so reports
-    /// stay byte-identical with the non-skipping loops. Windows are
-    /// clipped to the chunk boundary (the boundary's DTM sample always
-    /// runs), the cycle budget, and the warmup boundary (so `counting`
-    /// is uniform across a fold); no window starts inside the
-    /// warm-start window (its per-cycle power accumulation must run) or
-    /// under temperature-dependent leakage (power varies with T).
-    fn run_fast<const LEAK: bool>(&mut self, acc: &mut RunAccum, plan: RunPlan) {
-        let interval = self.cfg.dtm.sample_interval.max(1);
-        let emergency = self.cfg.dtm.emergency;
-        let stress = emergency - 1.0;
-        let nominal_dt = self.cfg.cycle_time();
-        let warmup = self.cfg.thermal_warmup_cycles;
-        let idle_sample = self.power.cycle_power(&tdtm_uarch::Activity::new());
-        let mut sensed = [0.0f64; NUM_THERMAL];
+    /// boundaries. In Direct mode the reference loop applies a command
+    /// within the boundary cycle's body with nothing in between, so
+    /// sampling after the chunk is bit-equivalent.
+    fn run_fast<const LEAK: bool>(&mut self, acc: &mut RunAccum) {
+        let fl = FastLoop::new(&self.cfg, &self.power, self.skip);
         let mut warm_start_power = [0.0f64; NUM_THERMAL];
-        let warm_window = if plan.warm_start { interval } else { 0 };
-        let leak = self.cfg.leakage;
-        // Peak powers hoisted so the leakage closure does not borrow
-        // `self.power` while `self.thermal` is mutably borrowed.
-        let peaks: [f64; NUM_THERMAL] =
-            std::array::from_fn(|i| self.power.peak(tdtm_uarch::activity::THERMAL_BLOCKS[i]));
-
-        let skip = self.skip && !LEAK;
-
-        'run: loop {
-            let mut remaining = interval - acc.cycle % interval;
-            while remaining > 0 {
-                let counting = acc.cycle >= warmup;
-                if counting && acc.counted_cycles == 0 {
-                    acc.committed_at_count_start = self.core.stats().committed;
+        let mut log = self.log_skip_windows.then_some(&mut self.skip_windows);
+        loop {
+            match self.m.advance::<LEAK>(acc, &mut warm_start_power, &fl, log.as_deref_mut()) {
+                Pause::Stop => return,
+                Pause::WarmStart(cycle) => {
+                    clamp_to_ceiling(&mut self.m.thermal, warm_start_ceiling(&self.cfg.dtm));
+                    self.m.finish_warm_cycle(acc, &cycle, &fl);
                 }
-                // Stop conditions.
-                if self
-                    .core
-                    .stats()
-                    .committed
-                    .saturating_sub(acc.committed_at_count_start)
-                    >= self.cfg.max_insts
-                    && counting
-                {
-                    break 'run;
-                }
-                if acc.cycle >= self.cfg.max_cycles || self.core.finished() {
-                    break 'run;
-                }
-
-                // Idle-gap fast-forward. Inside a window nothing the
-                // stop conditions read can change (the pipeline is
-                // untouched, so `committed` and `finished` are frozen;
-                // the cycle budget caps the window), so checking them
-                // once at entry matches the per-cycle reference order.
-                if skip && acc.cycle >= warm_window {
-                    let mut cap = remaining.min(self.cfg.max_cycles - acc.cycle);
-                    if acc.cycle < warmup {
-                        cap = cap.min(warmup - acc.cycle);
-                    }
-                    let window = if self.resync_remaining > 0 {
-                        Some((self.resync_remaining.min(cap), SkipReason::Resync))
-                    } else {
-                        self.core.idle_window(cap).map(|(len, kind)| {
-                            let reason = match kind {
-                                IdleKind::Gated => SkipReason::Gated,
-                                IdleKind::Drained => SkipReason::Drained,
-                            };
-                            (len, reason)
-                        })
-                    };
-                    if let Some((k, reason)) = window {
-                        if k >= MIN_SKIP_WINDOW {
-                            // Every skipped cycle draws the bitwise-same
-                            // idle power sample, so pre-scaling once is
-                            // exactly the per-cycle `step_scaled` bits.
-                            let scale = self.vf_power_scale;
-                            let mut gap_powers = idle_sample.thermal_powers();
-                            for p in &mut gap_powers {
-                                *p *= scale;
-                            }
-                            let gap_total = idle_sample.total * scale;
-                            if counting {
-                                let dt_wall = nominal_dt / self.vf_freq_scale;
-                                let acc = &mut *acc;
-                                self.thermal.step_gap_observed(&gap_powers, k, |temps| {
-                                    acc.record_cycle(
-                                        temps,
-                                        &gap_powers,
-                                        gap_total,
-                                        dt_wall,
-                                        emergency,
-                                        stress,
-                                    );
-                                });
-                            } else if self.skip_closed {
-                                self.thermal.step_gap_closed(&gap_powers, k);
-                            } else {
-                                self.thermal.step_gap_fixed(&gap_powers, k);
-                            }
-                            if reason == SkipReason::Resync {
-                                self.resync_remaining -= k;
-                            } else {
-                                self.core.skip_idle(k);
-                            }
-                            if self.log_skip_windows {
-                                self.skip_windows.push(SkipWindow {
-                                    start: acc.cycle,
-                                    end: acc.cycle + k,
-                                    reason,
-                                });
-                            }
-                            acc.cycle += k;
-                            remaining -= k;
-                            continue;
-                        }
-                    }
-                }
-
-                // One machine cycle (or a resync-stall cycle).
-                let sample = if self.resync_remaining > 0 {
-                    self.resync_remaining -= 1;
-                    idle_sample
-                } else {
-                    self.power.cycle_power(self.core.cycle())
-                };
-                let scale = self.vf_power_scale;
-                let mut thermal_powers = sample.thermal_powers();
-                let mut total_power = sample.total * scale;
-                if LEAK {
-                    let leak = leak.expect("LEAK implies a leakage model");
-                    self.thermal.step_fused(
-                        &mut thermal_powers,
-                        scale,
-                        &mut total_power,
-                        // Leakage scales with V (roughly linearly through
-                        // V·I_leak); reuse the dynamic scale conservatively.
-                        |i, t| leak.leakage_power(peaks[i], t) * scale,
-                    );
-                } else {
-                    self.thermal.step_scaled(&mut thermal_powers, scale);
-                }
-
-                if acc.cycle < warm_window {
-                    for i in 0..NUM_THERMAL {
-                        warm_start_power[i] += thermal_powers[i];
-                    }
-                    if acc.cycle + 1 == interval {
-                        self.apply_warm_start(&mut warm_start_power, interval);
-                    }
-                }
-
-                if counting {
-                    let temps = self.thermal.temperatures_fixed();
-                    acc.record_cycle(
-                        temps,
-                        &thermal_powers,
-                        total_power,
-                        nominal_dt / self.vf_freq_scale,
-                        emergency,
-                        stress,
-                    );
-                }
-                acc.cycle += 1;
-                remaining -= 1;
+                Pause::Boundary => {}
             }
-
-            // DTM sample at the chunk boundary: the cycle just executed
-            // satisfied `(cycle + 1) % interval == 0` before the
-            // increment, and in Direct mode the reference loop applies
-            // the command within that same cycle's body with nothing in
-            // between, so sampling after the chunk is bit-equivalent.
-            let sample_cycle = acc.cycle - 1;
-            let temps = self.thermal.temperatures_fixed::<NUM_THERMAL>();
-            self.sensors.read_all(&temps[..], &mut sensed);
-            let cmd = self.policy.sample(&sensed);
+            let cmd = self.policy.sample(&self.m.sense());
             acc.samples += 1;
             self.duty_history.push(cmd.fetch_duty);
-            self.apply(sample_cycle, cmd, &mut None);
+            self.m.apply(cmd, &self.cfg);
         }
     }
 
@@ -1207,16 +1097,17 @@ impl Simulator {
         // Per-block thermal resistances and the heatsink temperature are
         // run constants; hoisted for the proxy bookkeeping (this used to
         // collect a fresh `Vec<f64>` every cycle).
-        let proxy_rs: [f64; NUM_THERMAL] = std::array::from_fn(|i| self.thermal.params()[i].r);
-        let heatsink = self.thermal.heatsink();
+        let proxy_rs: [f64; NUM_THERMAL] = std::array::from_fn(|i| self.m.thermal.params()[i].r);
+        let heatsink = self.m.thermal.heatsink();
 
         loop {
             let counting = acc.cycle >= warmup;
             if counting && acc.counted_cycles == 0 {
-                acc.committed_at_count_start = self.core.stats().committed;
+                acc.committed_at_count_start = self.m.core.stats().committed;
             }
             // Stop conditions.
             if self
+                .m
                 .core
                 .stats()
                 .committed
@@ -1226,16 +1117,16 @@ impl Simulator {
             {
                 break;
             }
-            if acc.cycle >= self.cfg.max_cycles || self.core.finished() {
+            if acc.cycle >= self.cfg.max_cycles || self.m.core.finished() {
                 break;
             }
 
             // One machine cycle (or a resync-stall cycle).
-            let sample = if self.resync_remaining > 0 {
-                self.resync_remaining -= 1;
+            let sample = if self.m.resync_remaining > 0 {
+                self.m.resync_remaining -= 1;
                 idle_sample
             } else {
-                let activity = self.core.cycle();
+                let activity = self.m.core.cycle();
                 if plan.phases {
                     let start = Instant::now();
                     let sample = self.power.cycle_power(activity);
@@ -1247,7 +1138,7 @@ impl Simulator {
                     self.power.cycle_power(activity)
                 }
             };
-            let scale = self.vf_power_scale;
+            let scale = self.m.vf_power_scale;
             let mut thermal_powers = sample.thermal_powers();
             for p in &mut thermal_powers {
                 *p *= scale;
@@ -1257,7 +1148,7 @@ impl Simulator {
             // at the block's *current* temperature adds to the power that
             // heats it this cycle — the feedback loop.
             if let Some(leak) = self.cfg.leakage {
-                let temps_now = self.thermal.temperatures();
+                let temps_now = self.m.thermal.temperatures();
                 for (i, b) in tdtm_uarch::activity::THERMAL_BLOCKS.iter().enumerate() {
                     // Leakage scales with V (roughly linearly through
                     // V·I_leak); reuse the dynamic scale conservatively.
@@ -1268,13 +1159,13 @@ impl Simulator {
             }
             if plan.phases {
                 let start = Instant::now();
-                self.thermal.step(&thermal_powers);
+                self.m.thermal.step(&thermal_powers);
                 let ts = tstate.as_deref_mut().expect("phases implies telemetry");
                 ts.thermal_nanos += start.elapsed().as_nanos() as u64;
                 ts.thermal_calls += 1;
                 ts.thermal_steps += 1;
             } else {
-                self.thermal.step(&thermal_powers);
+                self.m.thermal.step(&thermal_powers);
                 if let Some(ts) = tstate.as_deref_mut() {
                     ts.thermal_steps += 1;
                 }
@@ -1291,7 +1182,7 @@ impl Simulator {
                 }
             }
 
-            let temps = self.thermal.temperatures();
+            let temps = self.m.thermal.temperatures();
             if let Some(ts) = tstate.as_deref_mut() {
                 // The per-cycle hottest-block fold is computed once here
                 // and shared with the histogram record inside
@@ -1305,7 +1196,7 @@ impl Simulator {
                     temps,
                     &thermal_powers,
                     total_power,
-                    nominal_dt / self.vf_freq_scale,
+                    nominal_dt / self.m.vf_freq_scale,
                     emergency,
                     stress,
                 );
@@ -1372,14 +1263,14 @@ impl Simulator {
                     trace.cycles.push(acc.cycle);
                     trace.temperatures.push(temps_arr);
                     trace.power.push(total_power);
-                    trace.duty.push(self.core.control().fetch_duty);
+                    trace.duty.push(self.m.core.control().fetch_duty);
                 }
             }
 
             // DTM sampling.
             if (acc.cycle + 1).is_multiple_of(interval) {
                 let dtm_start = plan.phases.then(Instant::now);
-                self.sensors.read_all(temps, &mut sensed);
+                self.m.sensors.read_all(temps, &mut sensed);
                 let cmd = match tstate.as_deref_mut() {
                     Some(ts) => {
                         // The observed and unobserved policy paths execute
@@ -1429,7 +1320,7 @@ impl Simulator {
     /// Applies the warm-start jump at the end of the first sampling
     /// interval. Shared by both run loops.
     fn apply_warm_start(&mut self, warm_start_power: &mut [f64; NUM_THERMAL], interval: u64) {
-        warm_start_jump(&mut self.thermal, &self.cfg.dtm, warm_start_power, interval);
+        warm_start_jump(&mut self.m.thermal, &self.cfg.dtm, warm_start_power, interval);
     }
 
     /// Assembles the run report from the accumulators — one code path
@@ -1438,20 +1329,307 @@ impl Simulator {
         finalize_report(
             &self.name,
             self.policy.as_ref(),
-            self.thermal.params(),
-            self.core.stats(),
-            self.core.bpred().accuracy(),
+            self.m.thermal.params(),
+            self.m.core.stats(),
+            self.m.core.bpred().accuracy(),
             acc,
         )
     }
 
     fn apply(&mut self, cycle: u64, cmd: DtmCommand, tstate: &mut Option<Box<TelemetryState>>) {
         if let Some(ts) = tstate.as_deref_mut() {
-            let from = self.core.control().fetch_duty;
+            let from = self.m.core.control().fetch_duty;
             if cmd.fetch_duty != from {
                 ts.record_duty_change(cycle, from, cmd.fetch_duty);
             }
         }
+        self.m.apply(cmd, &self.cfg);
+    }
+}
+
+/// Where [`Machine::advance`] paused.
+pub(crate) enum Pause {
+    /// A stop condition fired: the run is over.
+    Stop,
+    /// The last cycle of a sampling interval ran: its DTM sample is due.
+    Boundary,
+    /// The warm-start cycle paused after the policy-independent half of
+    /// the jump ([`warm_start_spread`]). The caller clamps the blocks
+    /// ([`clamp_to_ceiling`]) and completes the cycle with
+    /// [`Machine::finish_warm_cycle`]; the cycle ends the first sampling
+    /// interval, so its DTM sample is then due.
+    WarmStart(WarmCycle),
+}
+
+/// The warm-start cycle's powers, held while the cycle is paused.
+pub(crate) struct WarmCycle {
+    powers: [f64; NUM_THERMAL],
+    total: f64,
+}
+
+/// Run constants of the fast loop, resolved once per run.
+pub(crate) struct FastLoop<'a> {
+    power: &'a PowerModel,
+    interval: u64,
+    emergency: f64,
+    stress: f64,
+    nominal_dt: f64,
+    warmup: u64,
+    /// Cycles whose power feeds the warm start (0 without one).
+    warm_window: u64,
+    max_insts: u64,
+    max_cycles: u64,
+    idle_sample: PowerSample,
+    leak: Option<LeakageModel>,
+    /// Per-block peak powers, for the leakage term.
+    peaks: [f64; NUM_THERMAL],
+    /// Idle-gap skipping (never under leakage: power varies with T).
+    skip: bool,
+}
+
+impl<'a> FastLoop<'a> {
+    pub(crate) fn new(cfg: &SimConfig, power: &'a PowerModel, skip: bool) -> FastLoop<'a> {
+        let interval = cfg.dtm.sample_interval.max(1);
+        FastLoop {
+            power,
+            interval,
+            emergency: cfg.dtm.emergency,
+            stress: cfg.dtm.emergency - 1.0,
+            nominal_dt: cfg.cycle_time(),
+            warmup: cfg.thermal_warmup_cycles,
+            warm_window: if cfg.warm_start { interval } else { 0 },
+            max_insts: cfg.max_insts,
+            max_cycles: cfg.max_cycles,
+            idle_sample: power.cycle_power(&tdtm_uarch::Activity::new()),
+            leak: cfg.leakage,
+            peaks: std::array::from_fn(|i| power.peak(tdtm_uarch::activity::THERMAL_BLOCKS[i])),
+            skip: skip && cfg.leakage.is_none(),
+        }
+    }
+}
+
+impl Machine {
+    fn new(cfg: &SimConfig, program: std::sync::Arc<Program>, skip: u64) -> Machine {
+        Machine {
+            core: Core::with_skip_shared(cfg.core, program, skip),
+            thermal: BlockModel::new(cfg.blocks.clone(), cfg.heatsink_temp, cfg.cycle_time()),
+            sensors: SensorModel::ideal(),
+            resync_remaining: 0,
+            vf_power_scale: 1.0,
+            vf_freq_scale: 1.0,
+            vf_engaged: false,
+        }
+    }
+
+    /// A machine for `workload` under `cfg`, honoring its functional
+    /// warmup skip.
+    pub(crate) fn for_workload(cfg: &SimConfig, workload: &Workload) -> Machine {
+        Machine::new(cfg, workload.program_shared(), workload.warmup_insts)
+    }
+
+    /// Advances to the next pause: the end of the current sampling
+    /// interval, a stop condition, or the warm-start cycle.
+    ///
+    /// The loop runs in chunks that end exactly on the next DTM boundary
+    /// instead of testing `(cycle + 1) % interval` every cycle. Leakage
+    /// is monomorphized out via `LEAK`, and the power-scale /
+    /// leakage-add / exact-decay passes are fused into one sweep over
+    /// the blocks ([`BlockModel::step_fused`]) with bit-identical
+    /// arithmetic.
+    ///
+    /// Boundary math: DTM samples fire on cycles where
+    /// `(cycle + 1) % interval == 0` — the *last* cycle of each
+    /// interval-aligned chunk — so from any `cycle` the boundary is
+    /// `interval - cycle % interval` cycles ahead, inclusive. Stop
+    /// conditions (instruction budget, cycle budget, program halt) can
+    /// fire mid-chunk and are still checked every cycle, in exactly the
+    /// reference loop's order; a mid-chunk stop skips the boundary
+    /// sample just as the reference loop would.
+    ///
+    /// Idle-gap skipping: when the core proves a k-cycle window idle
+    /// ([`Core::idle_window`]: fetch gated shut, or the pipeline drained
+    /// or back-pressured — window, LSQ, rename pipe and IFQ full behind a
+    /// miss — against a known wake cycle) — or the loop is inside a V/f
+    /// resync stall — every cycle in the window draws the same idle
+    /// power, so the loop folds the window with a constant-power thermal
+    /// kernel ([`RunAccum::record_gap`] / [`BlockModel::step_gap_fixed`])
+    /// and jumps the cycle counter, never touching the pipeline. The fold
+    /// iterates the per-cycle recurrence in the same order with the same
+    /// bits, and counted cycles fold into the accumulators with the same
+    /// per-accumulator arithmetic, so reports stay byte-identical with
+    /// the non-skipping loops. Windows are clipped to the chunk boundary
+    /// (the boundary's DTM sample always runs), the cycle budget, and the
+    /// warmup boundary (so `counting` is uniform across a fold); no
+    /// window starts inside the warm-start window (its per-cycle power
+    /// accumulation must run) or under temperature-dependent leakage.
+    #[inline]
+    pub(crate) fn advance<const LEAK: bool>(
+        &mut self,
+        acc: &mut RunAccum,
+        warm_start_power: &mut [f64; NUM_THERMAL],
+        fl: &FastLoop,
+        mut log: Option<&mut Vec<SkipWindow>>,
+    ) -> Pause {
+        let mut remaining = fl.interval - acc.cycle % fl.interval;
+        while remaining > 0 {
+            let counting = acc.cycle >= fl.warmup;
+            if counting && acc.counted_cycles == 0 {
+                acc.committed_at_count_start = self.core.stats().committed;
+            }
+            // Stop conditions.
+            if self
+                .core
+                .stats()
+                .committed
+                .saturating_sub(acc.committed_at_count_start)
+                >= fl.max_insts
+                && counting
+            {
+                return Pause::Stop;
+            }
+            if acc.cycle >= fl.max_cycles || self.core.finished() {
+                return Pause::Stop;
+            }
+
+            // Idle-gap fast-forward. Inside a window nothing the stop
+            // conditions read can change (the pipeline is untouched, so
+            // `committed` and `finished` are frozen; the cycle budget caps
+            // the window), so checking them once at entry matches the
+            // per-cycle reference order.
+            if fl.skip && acc.cycle >= fl.warm_window {
+                let mut cap = remaining.min(fl.max_cycles - acc.cycle);
+                if acc.cycle < fl.warmup {
+                    cap = cap.min(fl.warmup - acc.cycle);
+                }
+                let window = if self.resync_remaining > 0 {
+                    Some((self.resync_remaining.min(cap), SkipReason::Resync))
+                } else {
+                    self.core.idle_window(cap).map(|(len, kind)| {
+                        let reason = match kind {
+                            IdleKind::Gated => SkipReason::Gated,
+                            IdleKind::Drained => SkipReason::Drained,
+                        };
+                        (len, reason)
+                    })
+                };
+                if let Some((k, reason)) = window {
+                    if k >= MIN_SKIP_WINDOW {
+                        // Every skipped cycle draws the bitwise-same idle
+                        // power sample, so pre-scaling once is exactly the
+                        // per-cycle `step_scaled` bits.
+                        let scale = self.vf_power_scale;
+                        let mut gap_powers = fl.idle_sample.thermal_powers();
+                        for p in &mut gap_powers {
+                            *p *= scale;
+                        }
+                        let gap_total = fl.idle_sample.total * scale;
+                        if counting {
+                            acc.record_gap(
+                                &mut self.thermal,
+                                &gap_powers,
+                                gap_total,
+                                fl.nominal_dt / self.vf_freq_scale,
+                                k,
+                                fl,
+                            );
+                        } else {
+                            self.thermal.step_gap_fixed(&gap_powers, k);
+                        }
+                        if reason == SkipReason::Resync {
+                            self.resync_remaining -= k;
+                        } else {
+                            self.core.skip_idle(k);
+                        }
+                        if let Some(log) = log.as_deref_mut() {
+                            log.push(SkipWindow { start: acc.cycle, end: acc.cycle + k, reason });
+                        }
+                        acc.cycle += k;
+                        remaining -= k;
+                        continue;
+                    }
+                }
+            }
+
+            // One machine cycle (or a resync-stall cycle).
+            let sample = if self.resync_remaining > 0 {
+                self.resync_remaining -= 1;
+                fl.idle_sample
+            } else {
+                fl.power.cycle_power(self.core.cycle())
+            };
+            let scale = self.vf_power_scale;
+            let mut thermal_powers = sample.thermal_powers();
+            let mut total_power = sample.total * scale;
+            if LEAK {
+                let leak = fl.leak.expect("LEAK implies a leakage model");
+                self.thermal.step_fused(
+                    &mut thermal_powers,
+                    scale,
+                    &mut total_power,
+                    // Leakage scales with V (roughly linearly through
+                    // V·I_leak); reuse the dynamic scale conservatively.
+                    |i, t| leak.leakage_power(fl.peaks[i], t) * scale,
+                );
+            } else {
+                self.thermal.step_scaled(&mut thermal_powers, scale);
+            }
+
+            if acc.cycle < fl.warm_window {
+                for i in 0..NUM_THERMAL {
+                    warm_start_power[i] += thermal_powers[i];
+                }
+                if acc.cycle + 1 == fl.interval {
+                    warm_start_spread(&mut self.thermal, warm_start_power, fl.interval);
+                    return Pause::WarmStart(WarmCycle {
+                        powers: thermal_powers,
+                        total: total_power,
+                    });
+                }
+            }
+
+            if counting {
+                acc.record_cycle(
+                    self.thermal.temperatures_fixed(),
+                    &thermal_powers,
+                    total_power,
+                    fl.nominal_dt / self.vf_freq_scale,
+                    fl.emergency,
+                    fl.stress,
+                );
+            }
+            acc.cycle += 1;
+            remaining -= 1;
+        }
+        Pause::Boundary
+    }
+
+    /// Completes a warm-start cycle [`advance`](Machine::advance) paused
+    /// on, once the caller has clamped the blocks.
+    pub(crate) fn finish_warm_cycle(&mut self, acc: &mut RunAccum, cycle: &WarmCycle, fl: &FastLoop) {
+        if acc.cycle >= fl.warmup {
+            acc.record_cycle(
+                self.thermal.temperatures_fixed(),
+                &cycle.powers,
+                cycle.total,
+                fl.nominal_dt / self.vf_freq_scale,
+                fl.emergency,
+                fl.stress,
+            );
+        }
+        acc.cycle += 1;
+    }
+
+    /// Reads the sensors over the current block temperatures.
+    pub(crate) fn sense(&mut self) -> [f64; NUM_THERMAL] {
+        let mut sensed = [0.0f64; NUM_THERMAL];
+        self.sensors.read_all(self.thermal.temperatures(), &mut sensed);
+        sensed
+    }
+
+    /// Applies a DTM command to the actuators: fetch control at once, and
+    /// a V/f transition (with its resynchronization stall) when the
+    /// command engages or releases scaling.
+    pub(crate) fn apply(&mut self, cmd: DtmCommand, cfg: &SimConfig) {
         self.core.set_control(CoreControl {
             fetch_duty: cmd.fetch_duty,
             fetch_width_limit: cmd.fetch_width_limit,
@@ -1462,15 +1640,15 @@ impl Simulator {
                 self.vf_engaged = true;
                 self.vf_power_scale = vf.power_scale();
                 self.vf_freq_scale = vf.freq_scale;
-                self.thermal.set_dt(self.cfg.cycle_time() / vf.freq_scale);
-                self.resync_remaining = self.cfg.dtm.vf_resync_cycles;
+                self.thermal.set_dt(cfg.cycle_time() / vf.freq_scale);
+                self.resync_remaining = cfg.dtm.vf_resync_cycles;
             }
             (None, true) => {
                 self.vf_engaged = false;
                 self.vf_power_scale = 1.0;
                 self.vf_freq_scale = 1.0;
-                self.thermal.set_dt(self.cfg.cycle_time());
-                self.resync_remaining = self.cfg.dtm.vf_resync_cycles;
+                self.thermal.set_dt(cfg.cycle_time());
+                self.resync_remaining = cfg.dtm.vf_resync_cycles;
             }
             _ => {}
         }
@@ -1672,6 +1850,61 @@ mod tests {
             "runaway must diverge, got {:.1}",
             r.hottest_block().unwrap().max_temp
         );
+    }
+
+    #[test]
+    fn record_gap_matches_per_cycle_records_bitwise() {
+        // Property: folding a k-cycle gap equals k single steps each
+        // followed by `record_cycle`, down to the bits of every
+        // accumulator (Debug renders f64s shortest-roundtrip, so it
+        // distinguishes every bit pattern short of NaN). Temperatures
+        // start around the thresholds so the counts move mid-gap.
+        let cfg = SimConfig::quick_test();
+        let power = PowerModel::new(&cfg.power, &cfg.core);
+        let fl = FastLoop::new(&cfg, &power, true);
+        let (emergency, stress) = (fl.emergency, fl.stress);
+        let mut rng = tdtm_prng::Rng::new(0x6A9_F01D);
+        for _ in 0..200 {
+            let heatsink = 100.0 + rng.next_f64() * 10.0;
+            let mut thermal = BlockModel::new(
+                tdtm_thermal::block_model::table3_blocks(),
+                heatsink,
+                1.0 / 1.5e9 * (1.0 + rng.next_f64() * 1e4),
+            );
+            for i in 0..NUM_THERMAL {
+                thermal.set_temperature(i, 108.0 + rng.next_f64() * 4.0);
+            }
+            let powers: [f64; NUM_THERMAL] = std::array::from_fn(|_| rng.next_f64() * 6.0);
+            let total = powers.iter().sum::<f64>() + rng.next_f64() * 20.0;
+            let dt_wall = 1e-9 * (1.0 + rng.next_f64());
+            let mut acc = RunAccum::new();
+            acc.counted_cycles = rng.below(1_000);
+            acc.wall_time = rng.next_f64() * 1e-3;
+            acc.sum_power = rng.next_f64() * 1e4;
+            acc.max_power = rng.next_f64() * 80.0;
+            for i in 0..NUM_THERMAL {
+                acc.block_sum_t[i] = rng.next_f64() * 1e5;
+                acc.block_sum_p[i] = rng.next_f64() * 1e3;
+                acc.block_max_p[i] = rng.next_f64() * 8.0;
+            }
+            let cycles = rng.below(3_000);
+
+            let (mut gap_thermal, mut gap_acc) = (thermal.clone(), acc.clone());
+            gap_acc.record_gap(&mut gap_thermal, &powers, total, dt_wall, cycles, &fl);
+            for _ in 0..cycles {
+                thermal.step_fixed(&powers);
+                acc.record_cycle(
+                    thermal.temperatures_fixed(),
+                    &powers,
+                    total,
+                    dt_wall,
+                    emergency,
+                    stress,
+                );
+            }
+            assert_eq!(format!("{gap_acc:?}"), format!("{acc:?}"), "k = {cycles}");
+            assert_eq!(format!("{gap_thermal:?}"), format!("{thermal:?}"), "k = {cycles}");
+        }
     }
 
     #[test]

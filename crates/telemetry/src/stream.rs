@@ -336,11 +336,18 @@ pub mod json {
         }
     }
 
-    /// Parses one complete JSON value; trailing input is an error.
+    /// The deepest nesting of arrays and objects [`parse`] accepts. The
+    /// parser recurses once per level, so the cap bounds its stack use on
+    /// hostile input (a disk-cache entry of nothing but `[`); the formats
+    /// this crate and its users write nest three levels deep at most.
+    pub const MAX_DEPTH: usize = 128;
+
+    /// Parses one complete JSON value; trailing input, and nesting deeper
+    /// than [`MAX_DEPTH`], are errors.
     pub fn parse(text: &str) -> Result<Value, String> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let v = value(bytes, &mut pos)?;
+        let v = value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing input at byte {pos}"));
@@ -354,11 +361,15 @@ pub mod json {
         }
     }
 
-    fn value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    /// Parses the value at `pos`, inside `depth` enclosing containers.
+    fn value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         skip_ws(b, pos);
         match b.get(*pos) {
-            Some(b'{') => object(b, pos),
-            Some(b'[') => array(b, pos),
+            Some(b'{' | b'[') if depth == MAX_DEPTH => {
+                Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}", pos = *pos))
+            }
+            Some(b'{') => object(b, pos, depth + 1),
+            Some(b'[') => array(b, pos, depth + 1),
             Some(b'"') => string(b, pos).map(Value::Str),
             Some(b't') => literal(b, pos, "true", Value::Bool(true)),
             Some(b'f') => literal(b, pos, "false", Value::Bool(false)),
@@ -378,7 +389,7 @@ pub mod json {
         }
     }
 
-    fn object(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn object(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         *pos += 1; // '{'
         let mut fields = Vec::new();
         skip_ws(b, pos);
@@ -394,7 +405,7 @@ pub mod json {
                 return Err(format!("expected ':' at byte {pos}", pos = *pos));
             }
             *pos += 1;
-            fields.push((key, value(b, pos)?));
+            fields.push((key, value(b, pos, depth)?));
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -407,7 +418,7 @@ pub mod json {
         }
     }
 
-    fn array(b: &[u8], pos: &mut usize) -> Result<Value, String> {
+    fn array(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, String> {
         *pos += 1; // '['
         let mut items = Vec::new();
         skip_ws(b, pos);
@@ -416,7 +427,7 @@ pub mod json {
             return Ok(Value::Arr(items));
         }
         loop {
-            items.push(value(b, pos)?);
+            items.push(value(b, pos, depth)?);
             skip_ws(b, pos);
             match b.get(*pos) {
                 Some(b',') => *pos += 1,
@@ -622,6 +633,27 @@ pub mod json {
                 let expect = Value::Obj(vec![(text.clone(), Value::Arr(vec![Value::Str(text)]))]);
                 assert_eq!(parse(&obj), Ok(expect));
             });
+        }
+
+        #[test]
+        fn nesting_is_capped_at_max_depth() {
+            let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+            let mut v = parse(&nested(MAX_DEPTH)).expect("the cap itself parses");
+            for _ in 1..MAX_DEPTH {
+                v = v.as_array().expect("one array per level")[0].clone();
+            }
+            assert_eq!(v, Value::Arr(Vec::new()));
+            assert!(parse(&nested(MAX_DEPTH + 1)).is_err());
+            let objects = format!("{}1{}", "{\"k\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+            assert!(parse(&objects).is_err(), "objects count toward the cap too");
+        }
+
+        #[test]
+        fn a_hundred_thousand_open_brackets_are_an_error_not_a_stack_overflow() {
+            // A hostile disk-cache entry: recursing once per `[` would
+            // overflow the stack long before the input ends.
+            let err = parse(&"[".repeat(100_000)).expect_err("unterminated nesting");
+            assert!(err.contains("nesting deeper than 128"), "{err}");
         }
 
         #[test]

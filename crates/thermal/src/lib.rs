@@ -36,7 +36,6 @@
 //! assert!((net.temperature(die) - 77.0).abs() < 0.1);
 //! ```
 
-pub mod batch;
 pub mod block_model;
 pub mod boxcar;
 pub mod chipwide;
@@ -49,7 +48,6 @@ pub mod network;
 pub mod reduction;
 pub mod silicon;
 
-pub use batch::ThermalBatch;
 pub use block_model::{BlockModel, BlockParams};
 pub use multicore::{CoupledChip, CouplingEdge, MulticoreFloorplan};
 pub use modelcache::{network_fingerprint, ModelCache};

@@ -210,7 +210,9 @@ pub enum IdleKind {
     Drained,
 }
 
-/// The cycle-level out-of-order core.
+/// The cycle-level out-of-order core. Cloning it forks the whole
+/// machine state, program supply included.
+#[derive(Clone)]
 pub struct Core {
     cfg: CoreConfig,
     control: CoreControl,

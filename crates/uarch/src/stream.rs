@@ -13,7 +13,7 @@ use tdtm_isa::{FReg, Inst, Op, Program, Reg};
 /// The timing model's fetch stage reads ahead of commit, so the stream
 /// keeps a sliding window `[base, base+len)` of records; `trim` releases
 /// records older than the oldest in-flight instruction.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct OracleStream {
     cpu: Cpu,
     buf: std::collections::VecDeque<Retired>,

@@ -95,8 +95,9 @@ skip_smoke gcc toggle1
 skip_smoke vpr none
 
 echo "== tier 1: grid throughput smoke (grid_throughput vs BENCH_grid.json) =="
-# Full 18x5 hot grid through both dispatches (reference and batched SoA);
-# fails if either regresses >3x against the committed cells/sec baseline.
+# Full 18x5 hot grid through both dispatches (per-cell reference and
+# grouped policy groups); fails if either regresses >3x against the
+# committed cells/sec baseline.
 cargo bench -p tdtm-bench --bench grid_throughput -- --quick --check "$PWD/BENCH_grid.json"
 
 echo "== tier 1: warm-repeat throughput smoke (grid_repeat_throughput vs BENCH_grid.json) =="

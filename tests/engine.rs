@@ -31,8 +31,8 @@ fn one_thread_reproduces_many_threads_byte_for_byte() {
     // `run_threads` call would replay the first run's reports and this
     // test would stop exercising thread-count determinism.
     let grid = small_grid();
-    let serial = grid.run_threads_with_batching(1, true);
-    let parallel = grid.run_threads_with_batching(4, true);
+    let serial = grid.run_threads_with_grouping(1, true);
+    let parallel = grid.run_threads_with_grouping(4, true);
     assert_eq!(serial.threads, 1);
     assert_eq!(parallel.threads, 4);
 
@@ -50,26 +50,27 @@ fn one_thread_reproduces_many_threads_byte_for_byte() {
 }
 
 #[test]
-fn batched_dispatch_reports_byte_identically_to_the_per_cell_path() {
-    // `run_threads` packs eligible single-core cells into SoA thermal
-    // batches; `small_grid` mixes them with supervised two-core chip
-    // cells that must fall back to the per-cell path. Whatever the
-    // dispatch, the reports are byte-identical (the Debug rendering
-    // distinguishes every bit pattern short of NaN).
+fn grouped_dispatch_reports_byte_identically_to_the_per_cell_path() {
+    // `run_threads` runs the cells of one program that differ only in
+    // their policy as one forking policy group; `small_grid` mixes them
+    // with supervised two-core chip cells that must fall back to the
+    // per-cell path. Whatever the dispatch, the reports are
+    // byte-identical (the Debug rendering distinguishes every bit
+    // pattern short of NaN).
     let grid = small_grid();
-    let batched = grid.run_threads_with_batching(4, true);
-    let reference = grid.run_threads_with_batching(1, false);
-    assert_eq!(batched.runs.len(), reference.runs.len());
-    for (b, r) in batched.runs.iter().zip(&reference.runs) {
-        assert_eq!(b.index, r.index);
-        assert_eq!(b.report, r.report, "cell {} diverged under batching", b.label());
+    let grouped = grid.run_threads_with_grouping(4, true);
+    let reference = grid.run_threads_with_grouping(1, false);
+    assert_eq!(grouped.runs.len(), reference.runs.len());
+    for (g, r) in grouped.runs.iter().zip(&reference.runs) {
+        assert_eq!(g.index, r.index);
+        assert_eq!(g.report, r.report, "cell {} diverged under grouping", g.label());
         assert_eq!(
-            format!("{:?}", b.report),
+            format!("{:?}", g.report),
             format!("{:?}", r.report),
-            "cell {}: bit patterns differ under batching",
-            b.label()
+            "cell {}: bit patterns differ under grouping",
+            g.label()
         );
-        assert!(b.obs.deterministic_eq(&r.obs), "cell {}: observability diverged", b.label());
+        assert!(g.obs.deterministic_eq(&r.obs), "cell {}: observability diverged", g.label());
     }
 }
 
@@ -140,7 +141,7 @@ fn cached_rerun_replays_byte_identical_reports() {
     // of NaN).
     let grid = small_grid();
     let cache = ResultCache::in_memory();
-    let reference = grid.run_threads_with_batching(1, false);
+    let reference = grid.run_threads_with_grouping(1, false);
     let cold = grid.run_threads_cached(4, true, &cache);
     let warm = grid.run_threads_cached(4, true, &cache);
 
