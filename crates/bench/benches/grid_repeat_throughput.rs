@@ -83,7 +83,7 @@ fn report_row(h: &mut Harness, name: &str, best_seconds: f64, cells: usize) -> f
 /// One cold pass into `cache`, timed. Asserts the pass actually
 /// simulated (all misses) so a leaked warm cache can't fake the row.
 fn cold_pass(grid: &ExperimentGrid, cache: &ResultCache) -> f64 {
-    let results = grid.run_threads_cached(THREADS, true, cache);
+    let results = grid.run_threads_cached(THREADS, cache);
     let stats = results.cache_stats.expect("cached run reports stats");
     assert_eq!(stats.cache_hits, 0, "cold pass must not hit");
     black_box(&results.runs);
@@ -92,7 +92,7 @@ fn cold_pass(grid: &ExperimentGrid, cache: &ResultCache) -> f64 {
 
 /// One warm pass against `cache`, timed. Asserts every cell replayed.
 fn warm_pass(grid: &ExperimentGrid, cache: &ResultCache) -> f64 {
-    let results = grid.run_threads_cached(THREADS, true, cache);
+    let results = grid.run_threads_cached(THREADS, cache);
     let stats = results.cache_stats.expect("cached run reports stats");
     assert_eq!(stats.cache_misses, 0, "warm pass must not simulate");
     black_box(&results.runs);

@@ -13,7 +13,7 @@
 //! ([`tdtm_prng::Fnv128`]) over a canonical encoding of *everything the
 //! simulation result depends on*: the assembled program (encoded
 //! instruction words, data segments, name), the workload identity, and
-//! the full [`SimConfig`](crate::config::SimConfig) — core, power, DTM,
+//! the full [`SimConfig`] — core, power, DTM,
 //! floorplan blocks, heatsink, chip topology, leakage, scale limits.
 //! Floats enter the hash canonicalized: every NaN collapses to one key
 //! (payloads cannot split keys) while `-0.0` stays distinct from `0.0`
@@ -47,6 +47,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
+use crate::config::SimConfig;
 use crate::engine::GridCell;
 use crate::metrics::{BlockMetrics, RunReport};
 use tdtm_isa::Program;
@@ -124,16 +125,29 @@ pub fn cell_fingerprint(cell: &GridCell) -> Fingerprint {
 }
 
 fn cell_fingerprint_with(cell: &GridCell, program_fp: u128) -> Fingerprint {
+    Fingerprint(workload_config_hash(b"tdtm/cell/v1\0", cell, program_fp, &cell.config()))
+}
+
+/// Hashes `cell`'s workload (program digest `program_fp`, name,
+/// category, warmup skip) and a configuration under a domain tag — the
+/// cell fingerprint when `cfg` is the cell's own configuration. Other
+/// keys over the same workload identity (a policy group's, with the
+/// policy masked) reuse it under their own tag.
+pub(crate) fn workload_config_hash(
+    domain: &[u8],
+    cell: &GridCell,
+    program_fp: u128,
+    cfg: &SimConfig,
+) -> u128 {
     let mut h = Fnv128::new();
-    h.write(b"tdtm/cell/v1\0");
+    h.write(domain);
     h.write_u128(program_fp);
     h.write(cell.workload.name.as_bytes());
     h.write(&[0]);
     let _ = write!(h, "{:?}", cell.workload.category);
     h.write_u64(cell.workload.warmup_insts);
-    let cfg = cell.config();
     let _ = write!(h, "{cfg:?}");
-    Fingerprint(h.finish())
+    h.finish()
 }
 
 /// Fingerprints for every cell of a grid, in cell order. Each assembled

@@ -54,6 +54,15 @@ impl Default for ChipConfig {
     }
 }
 
+impl ChipConfig {
+    /// Whether this is a lone core without a supervisor: such a cell runs
+    /// on the single-core [`Simulator`](crate::Simulator), everything
+    /// else on the multicore chip.
+    pub fn is_single_core(&self) -> bool {
+        self.cores == 1 && self.supervisor.is_none()
+    }
+}
+
 /// Everything one simulation run needs.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
@@ -167,6 +176,7 @@ mod tests {
         assert_eq!(chip.heterogeneity, 0.0);
         assert!(chip.supervisor.is_none());
         assert!(chip.neighbor_policy.is_none());
+        assert!(chip.is_single_core());
         assert_eq!(SimConfig::default().chip, chip);
     }
 

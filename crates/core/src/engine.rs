@@ -26,13 +26,14 @@
 //! ```
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::cache::{self, CacheStats, CellArtifact, Claim, ResultCache};
 use crate::config::SimConfig;
 use crate::experiments::ExperimentScale;
+use crate::group::{Branch, PolicyGroup};
 use crate::metrics::RunReport;
 use crate::simulator::Simulator;
 use tdtm_dtm::PolicyKind;
@@ -62,8 +63,8 @@ pub fn thread_count() -> usize {
 }
 
 /// Applies `f` to every item of `items`, sharding the work across
-/// `threads` scoped worker threads. Workers pull items from a shared
-/// atomic cursor (so uneven cell costs still balance), but the returned
+/// `threads` scoped worker threads. Workers take items in order from one
+/// shared queue (so uneven cell costs still balance), but the returned
 /// vector is ordered by item index — identical for any thread count.
 ///
 /// # Panics
@@ -75,37 +76,98 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
-    let threads = threads.max(1).min(items.len().max(1));
-    if threads == 1 {
-        return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    let keyed = Mutex::new(Vec::with_capacity(items.len()));
+    let threads = threads.min(items.len());
+    run_queue((0..items.len()).collect(), threads, |i, _| {
+        let r = f(i, &items[i]);
+        keyed.lock().expect("shard_map results lock poisoned").push((i, r));
+    });
+    let mut keyed = keyed.into_inner().expect("shard_map results lock poisoned");
+    keyed.sort_by_key(|&(i, _)| i);
+    keyed.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Runs `tasks`, and every task they spawn, on `threads` scoped worker
+/// threads; `f` runs one task and records its result itself. Workers
+/// take the most recently queued task first, so spawned tasks run before
+/// the tasks queued ahead of them (depth-first, which keeps few of them
+/// alive at once), and `tasks` start in order.
+///
+/// # Panics
+///
+/// Propagates a panic from `f` (the first worker panic observed); the
+/// other workers stop taking tasks.
+fn run_queue<T, F>(tasks: Vec<T>, threads: usize, f: F)
+where
+    T: Send,
+    F: Fn(T, &dyn Fn(T)) + Sync,
+{
+    struct Queue<T> {
+        tasks: Vec<T>,
+        /// Tasks queued or running.
+        open: usize,
+        failed: bool,
     }
-    let cursor = AtomicUsize::new(0);
-    let mut keyed: Vec<(usize, R)> = Vec::with_capacity(items.len());
+    /// Marks a taken task finished — also when `f` unwinds, so the
+    /// other workers wake and stop instead of waiting on it forever.
+    struct Finish<'a, T>(&'a Mutex<Queue<T>>, &'a Condvar);
+    impl<T> Drop for Finish<'_, T> {
+        fn drop(&mut self) {
+            let mut q = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+            q.open -= 1;
+            q.failed |= std::thread::panicking();
+            if q.open == 0 || q.failed {
+                self.1.notify_all();
+            }
+        }
+    }
+
+    if tasks.is_empty() {
+        return;
+    }
+    let queue = Mutex::new(Queue {
+        open: tasks.len(),
+        tasks: tasks.into_iter().rev().collect(),
+        failed: false,
+    });
+    let ready = Condvar::new();
+    let lock = || queue.lock().unwrap_or_else(PoisonError::into_inner);
+    let spawn = |task: T| {
+        let mut q = lock();
+        q.tasks.push(task);
+        q.open += 1;
+        ready.notify_one();
+    };
+    let work = || loop {
+        let task = {
+            let mut q = lock();
+            loop {
+                if q.failed {
+                    return;
+                }
+                if let Some(task) = q.tasks.pop() {
+                    break task;
+                }
+                if q.open == 0 {
+                    return;
+                }
+                q = ready.wait(q).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        let _finish = Finish(&queue, &ready);
+        f(task, &spawn);
+    };
+    if threads <= 1 {
+        return work();
+    }
     std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= items.len() {
-                            break;
-                        }
-                        out.push((i, f(i, &items[i])));
-                    }
-                    out
-                })
-            })
-            .collect();
+        let handles: Vec<_> = (0..threads).map(|_| scope.spawn(work)).collect();
         for handle in handles {
-            match handle.join() {
-                Ok(part) => keyed.extend(part),
-                Err(payload) => std::panic::resume_unwind(payload),
+            if let Err(payload) = handle.join() {
+                std::panic::resume_unwind(payload);
             }
         }
     });
-    keyed.sort_by_key(|&(i, _)| i);
-    keyed.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Assembles one cell's [`RunResult`] from its report — the shared
@@ -126,9 +188,11 @@ fn result_from_report(cell: &GridCell, report: RunReport, wall: f64) -> RunResul
 /// their DTM policy form one policy group ([`crate::group`]), simulated
 /// as one trajectory that forks where the members' commands diverge;
 /// everything else — and a group of one — runs the per-cell chip path.
-/// `publish` runs in the worker for each finished result (the cached
-/// path's publication hook; a no-op for plain runs). Results come back
-/// in completion order — callers sort or index by [`RunResult::index`].
+/// A group's forks join the shared work queue, so even a grid of one
+/// program keeps every worker busy once its policies diverge. `publish`
+/// runs in the worker for each finished result (the cached path's
+/// publication hook; a no-op for plain runs). Results come back in
+/// completion order — callers sort or index by [`RunResult::index`].
 fn run_cells_grouped(
     cells: &[&GridCell],
     threads: usize,
@@ -150,26 +214,76 @@ fn run_cells_grouped(
         }
     }
 
-    let sharded = shard_map(&items, threads, |_, item| {
-        let start = Instant::now();
-        let reports = match item.as_slice() {
-            [cell] => vec![cell.run_chip().0],
-            group => crate::group::run_policy_group(group).reports,
-        };
-        // Members share one simulation, so per-cell wall time is not
-        // separable; each cell is charged an even share (wall_seconds is
-        // nondeterministic and never part of identity pins).
-        let wall = start.elapsed().as_secs_f64() / item.len() as f64;
-        item.iter()
-            .zip(reports)
-            .map(|(cell, report)| {
-                let run = result_from_report(cell, report, wall);
-                publish(&run);
-                run
+    /// A group in flight: its branches queued or running, the member
+    /// reports so far, and the worker seconds its branches took.
+    struct Progress {
+        live: usize,
+        reports: Vec<Option<RunReport>>,
+        seconds: f64,
+    }
+    let groups: Vec<Option<(PolicyGroup, Mutex<Progress>)>> = items
+        .iter()
+        .map(|item| {
+            (item.len() > 1).then(|| {
+                let progress = Progress { live: 1, reports: vec![None; item.len()], seconds: 0.0 };
+                (PolicyGroup::new(item), Mutex::new(progress))
             })
-            .collect::<Vec<_>>()
+        })
+        .collect();
+    enum Task {
+        /// Item `k`: its solo cell, or its group's trunk.
+        Item(usize),
+        /// A branch forked off group `k`.
+        Fork(usize, Box<Branch>),
+    }
+
+    let results = Mutex::new(Vec::with_capacity(cells.len()));
+    let finish = |cell: &GridCell, report: RunReport, wall: f64| {
+        let run = result_from_report(cell, report, wall);
+        publish(&run);
+        results.lock().expect("results lock poisoned").push(run);
+    };
+    let tasks = (0..items.len()).map(Task::Item).collect();
+    // Every branch carries at least one cell, so no more than one worker
+    // per cell can ever be busy.
+    run_queue(tasks, threads.min(cells.len()), |task, spawn| {
+        let start = Instant::now();
+        let (k, branch) = match task {
+            Task::Item(k) => match &groups[k] {
+                None => {
+                    let (report, _chip) = items[k][0].run_chip();
+                    return finish(items[k][0], report, start.elapsed().as_secs_f64());
+                }
+                Some((group, _)) => (k, group.trunk()),
+            },
+            Task::Fork(k, branch) => (k, *branch),
+        };
+        let (group, progress) = groups[k].as_ref().expect("branches belong to a group");
+        let lock = || progress.lock().expect("policy group lock poisoned");
+        let end = group.run_branch(branch, &mut |fork| {
+            lock().live += 1;
+            spawn(Task::Fork(k, Box::new(fork)));
+        });
+        let mut p = lock();
+        p.seconds += start.elapsed().as_secs_f64();
+        for (i, report) in end.reports {
+            p.reports[i] = Some(report);
+        }
+        p.live -= 1;
+        if p.live == 0 {
+            // Members share simulation, so per-cell wall time is not
+            // separable; each cell is charged an even share of the worker
+            // time its group took (wall_seconds is nondeterministic and
+            // never part of identity pins).
+            let wall = p.seconds / items[k].len() as f64;
+            let reports = std::mem::take(&mut p.reports);
+            drop(p);
+            for (cell, report) in items[k].iter().zip(reports) {
+                finish(cell, report.expect("every member finished"), wall);
+            }
+        }
     });
-    sharded.into_iter().flatten().collect()
+    results.into_inner().expect("results lock poisoned")
 }
 
 /// One cell of an [`ExperimentGrid`]: a workload under a policy with a
@@ -222,6 +336,11 @@ impl GridCell {
     /// build a [`crate::multicore::MulticoreSim`] themselves reuse it).
     pub fn power_model(&self) -> Arc<tdtm_power::PowerModel> {
         Arc::clone(&self.power)
+    }
+
+    /// The grid's shared power model for this cell, borrowed.
+    pub(crate) fn power_ref(&self) -> &tdtm_power::PowerModel {
+        &self.power
     }
 
     /// Runs this cell, dispatching on its chip configuration: a plain
@@ -512,7 +631,7 @@ impl ExperimentGrid {
     /// simulating, and identical cells within the grid simulate once.
     pub fn run_threads(&self, threads: usize) -> GridResults {
         match ResultCache::global() {
-            Some(cache) => self.run_threads_cached(threads, true, cache),
+            Some(cache) => self.run_threads_cached(threads, cache),
             None => self.run_threads_with_grouping(threads, true),
         }
     }
@@ -550,12 +669,7 @@ impl ExperimentGrid {
     /// deduped against the in-flight leader. Reports are byte-identical
     /// to [`run_threads_with_grouping`](ExperimentGrid::run_threads_with_grouping)
     /// — pinned by `tests/engine.rs`.
-    pub fn run_threads_cached(
-        &self,
-        threads: usize,
-        grouping: bool,
-        cache: &ResultCache,
-    ) -> GridResults {
+    pub fn run_threads_cached(&self, threads: usize, cache: &ResultCache) -> GridResults {
         let cells = self.cells();
         let grid_start = Instant::now();
         let fps = cache::cell_fingerprints(&cells);
@@ -605,19 +719,7 @@ impl ExperimentGrid {
                 CellArtifact { report: run.report.clone(), record: None },
             );
         };
-        let miss_runs = if grouping {
-            run_cells_grouped(&miss_cells, threads, &publish)
-        } else {
-            shard_map(&miss_cells, threads, |_, cell| {
-                let start = Instant::now();
-                let (report, _chip) = cell.run_chip();
-                let wall = start.elapsed().as_secs_f64();
-                let run = result_from_report(cell, report, wall);
-                publish(&run);
-                run
-            })
-        };
-        for run in miss_runs {
+        for run in run_cells_grouped(&miss_cells, threads, &publish) {
             let i = run.index;
             runs[i] = Some(run);
         }
@@ -845,8 +947,7 @@ impl ExperimentGrid {
                 };
             }
             let cell_cfg = cell.config();
-            let single = cell_cfg.chip.cores == 1 && cell_cfg.chip.supervisor.is_none();
-            let (report, chip, snapshot) = if single {
+            let (report, chip, snapshot) = if cell_cfg.chip.is_single_core() {
                 let mut sim = cell.simulator();
                 sim.enable_telemetry(cfg);
                 let report = sim.run();
@@ -951,6 +1052,7 @@ impl ExperimentGrid {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicUsize;
     use tdtm_workloads::by_name;
 
     #[test]
@@ -982,6 +1084,43 @@ mod tests {
                 panic!("cell exploded");
             }
             x
+        });
+    }
+
+    #[test]
+    fn run_queue_runs_spawned_tasks_at_any_thread_count() {
+        // Each task n > 0 spawns n - 1 and n - 2: a tree of fib-many
+        // tasks, most of them spawned mid-run.
+        for threads in [1, 2, 4] {
+            let ran = AtomicUsize::new(0);
+            run_queue(vec![10u32, 3, 0], threads, |n, spawn| {
+                ran.fetch_add(1, Ordering::Relaxed);
+                if n > 0 {
+                    spawn(n - 1);
+                }
+                if n > 1 {
+                    spawn(n - 2);
+                }
+            });
+            // Task n runs t(n) = 1 + t(n - 1) + t(n - 2) tasks, with
+            // t(0) = 1 and t(1) = 2: t(10) = 232, t(3) = 7.
+            assert_eq!(ran.into_inner(), 232 + 7 + 1, "threads={threads}");
+        }
+        run_queue(Vec::<u8>::new(), 4, |_, _| unreachable!("no tasks"));
+    }
+
+    #[test]
+    #[should_panic(expected = "task exploded")]
+    fn run_queue_propagates_worker_panics() {
+        // The other workers must stop rather than wait on the failed
+        // task's spawns forever.
+        run_queue((0..8).collect(), 4, |x: usize, spawn| {
+            if x == 5 {
+                panic!("task exploded");
+            }
+            if x < 100 {
+                spawn(x + 100);
+            }
         });
     }
 

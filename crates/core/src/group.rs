@@ -6,11 +6,11 @@
 //! issues at each DTM sample, and the ceiling it puts on the warm-start
 //! jump at the end of the first sampling interval. Until one of those
 //! differs, every member of a group simulates the same cycles bit for
-//! bit, so [`run_policy_group`] simulates each distinct trajectory once:
+//! bit, so a `PolicyGroup` simulates each distinct trajectory once:
 //!
-//! - A *branch* is one machine state plus the members riding on it. It
-//!   advances through the fast loop (`Machine::advance`) from one DTM
-//!   boundary to the next.
+//! - A `Branch` is one machine state plus the members riding on it,
+//!   each with its own policy. It advances through the fast loop
+//!   (`Machine::advance`) from one DTM boundary to the next.
 //! - At each boundary every member samples its own policy on the
 //!   branch's sensed temperatures. Members are partitioned by the bits
 //!   of every [`DtmCommand`] field; the branch continues with the first
@@ -18,9 +18,11 @@
 //! - At the warm-start cycle the partition is by the bits of the block
 //!   temperatures after each member's clamp, before the cycle is
 //!   recorded.
-//! - Forks wait on a stack and run depth-first once the branch that
-//!   spawned them stops; each is dropped as it finishes, so only the
-//!   branches still to run are live.
+//! - `PolicyGroup::run_branch` hands each fork to its caller, which
+//!   queues it: [`run_policy_group`] on a local stack, run depth-first;
+//!   the engine on its shared work queue, so the forks of one group run
+//!   on all workers. A branch owns its members' policies, so a fork runs
+//!   on any thread, and it is dropped as it finishes.
 //!
 //! Each member's report is finalized through the same
 //! `finalize_report` path as a solo run, with its own policy, so
@@ -30,9 +32,8 @@
 //!
 //! [`Simulator::run`]: crate::Simulator::run
 
-use std::fmt::Write as _;
-
-use crate::cache::program_fingerprint;
+use crate::cache::{program_fingerprint, workload_config_hash};
+use crate::config::SimConfig;
 use crate::engine::GridCell;
 use crate::metrics::RunReport;
 use crate::simulator::{
@@ -40,7 +41,6 @@ use crate::simulator::{
     RunAccum, NUM_THERMAL,
 };
 use tdtm_dtm::{build_policy_at, DtmCommand, DtmPolicy, PolicyKind, TriggerMechanism};
-use tdtm_prng::Fnv128;
 
 /// The key under which a cell joins a policy group, or `None` when it
 /// runs solo.
@@ -48,26 +48,19 @@ use tdtm_prng::Fnv128;
 /// A cell is groupable when the fast loop runs it unobserved: one core,
 /// no supervisor, direct DTM triggering, and no temperature-dependent
 /// leakage. Two groupable cells share a key when they run the same
-/// workload (program content, name, warmup skip) under configurations
-/// equal in every field but `dtm.policy`.
+/// workload under configurations equal in every field but `dtm.policy`
+/// — the cell fingerprint's encoding with the policy masked.
 pub fn group_key(cell: &GridCell) -> Option<u128> {
     let mut cfg = cell.config();
-    let groupable = cfg.chip.cores == 1
-        && cfg.chip.supervisor.is_none()
+    let groupable = cfg.chip.is_single_core()
         && matches!(cfg.dtm.mechanism, TriggerMechanism::Direct)
         && cfg.leakage.is_none();
     if !groupable {
         return None;
     }
     cfg.dtm.policy = PolicyKind::None;
-    let mut h = Fnv128::new();
-    h.write(b"tdtm/group/v1\0");
-    h.write_u128(cell.workload.program_digest(program_fingerprint));
-    h.write(cell.workload.name.as_bytes());
-    h.write(&[0]);
-    h.write_u64(cell.workload.warmup_insts);
-    let _ = write!(h, "{cfg:?}");
-    Some(h.finish())
+    let program_fp = cell.workload.program_digest(program_fingerprint);
+    Some(workload_config_hash(b"tdtm/group/v1\0", cell, program_fp, &cfg))
 }
 
 /// One point where a branch's members diverged.
@@ -92,19 +85,34 @@ pub struct GroupRun {
     pub splits: Vec<Split>,
 }
 
-/// One machine state and the members riding on it.
-struct Branch {
+/// What [`PolicyGroup::run_branch`] returns once its branch stops.
+pub(crate) struct BranchEnd {
+    /// `(member index, report)` for every member still on the branch.
+    pub(crate) reports: Vec<(usize, RunReport)>,
+    /// The splits the branch passed, in order.
+    pub(crate) splits: Vec<Split>,
+}
+
+/// One member of a group: its position and its own policy.
+struct Member {
+    index: usize,
+    policy: Box<dyn DtmPolicy>,
+}
+
+/// One machine state and the members riding on it. Create the group's
+/// first branch with [`PolicyGroup::trunk`]; the others are forks.
+pub(crate) struct Branch {
     m: Machine,
     acc: RunAccum,
     warm_start_power: [f64; NUM_THERMAL],
     /// The branch paused on a DTM boundary whose sample is still due (a
     /// fork split off at the warm start resumes there).
     due: bool,
-    members: Vec<usize>,
+    members: Vec<Member>,
 }
 
 impl Branch {
-    fn fork(&self, members: Vec<usize>) -> Branch {
+    fn fork(&self, members: Vec<Member>) -> Branch {
         Branch {
             m: self.m.clone(),
             acc: self.acc.clone(),
@@ -114,19 +122,20 @@ impl Branch {
         }
     }
 
-    /// Keeps the first class on this branch and pushes a fork for each
-    /// other class; `enter` moves a branch onto its class's value.
+    /// Keeps the first class on this branch and hands a fork for each
+    /// other class to `spawn`; `enter` moves a branch onto its class's
+    /// value.
     fn split<V>(
         &mut self,
-        mut classes: Vec<(V, Vec<usize>)>,
-        stack: &mut Vec<Branch>,
+        mut classes: Vec<(V, Vec<Member>)>,
+        spawn: &mut dyn FnMut(Branch),
         mut enter: impl FnMut(&mut Branch, V),
     ) {
         let rest = classes.split_off(1);
         for (value, members) in rest {
             let mut fork = self.fork(members);
             enter(&mut fork, value);
-            stack.push(fork);
+            spawn(fork);
         }
         let (value, members) = classes.pop().expect("every branch has a member");
         self.members = members;
@@ -137,17 +146,17 @@ impl Branch {
 /// Partitions `members` by `key` of their values, in order of first
 /// appearance; each class carries its first member's value.
 fn partition<V, K: PartialEq>(
-    members: &[usize],
-    mut value: impl FnMut(usize) -> V,
+    members: Vec<Member>,
+    mut value: impl FnMut(&mut Member) -> V,
     key: impl Fn(&V) -> K,
-) -> Vec<(V, Vec<usize>)> {
-    let mut classes: Vec<(K, V, Vec<usize>)> = Vec::new();
-    for &i in members {
-        let v = value(i);
+) -> Vec<(V, Vec<Member>)> {
+    let mut classes: Vec<(K, V, Vec<Member>)> = Vec::new();
+    for mut member in members {
+        let v = value(&mut member);
         let k = key(&v);
         match classes.iter_mut().find(|(ck, _, _)| *ck == k) {
-            Some((_, _, class)) => class.push(i),
-            None => classes.push((k, v, vec![i])),
+            Some((_, _, class)) => class.push(member),
+            None => classes.push((k, v, vec![member])),
         }
     }
     classes.into_iter().map(|(_, v, class)| (v, class)).collect()
@@ -166,59 +175,85 @@ fn command_bits(cmd: &DtmCommand) -> CommandBits {
     )
 }
 
-/// Runs the cells of one policy group, each report byte-identical to
-/// the cell's solo run.
-///
-/// # Panics
-///
-/// Panics if `cells` is empty, or if its cells do not all share one
-/// [`group_key`].
-pub fn run_policy_group(cells: &[&GridCell]) -> GroupRun {
-    let first = cells[0];
-    let key = group_key(first);
-    assert!(
-        key.is_some() && cells.iter().all(|c| group_key(c) == key),
-        "a policy group's cells share one group key"
-    );
-    let cfg = first.config();
-    let power = first.power_model();
-    let fl = FastLoop::new(&cfg, &power, skip_default());
-    let dtms: Vec<_> = cells.iter().map(|c| c.config().dtm).collect();
-    let ceilings: Vec<Option<f64>> = dtms.iter().map(warm_start_ceiling).collect();
-    let mut policies: Vec<Box<dyn DtmPolicy>> =
-        dtms.iter().map(|dtm| build_policy_at(dtm, cfg.core.clock_hz)).collect();
+/// The run constants of one policy group, shared by all its branches.
+pub(crate) struct PolicyGroup<'c> {
+    cells: Vec<&'c GridCell>,
+    cfg: SimConfig,
+    fl: FastLoop<'c>,
+    ceilings: Vec<Option<f64>>,
+}
 
-    let mut reports: Vec<Option<RunReport>> = vec![None; cells.len()];
-    let mut splits = Vec::new();
-    let mut stack = vec![Branch {
-        m: Machine::for_workload(&cfg, &first.workload),
-        acc: RunAccum::new(),
-        warm_start_power: [0.0; NUM_THERMAL],
-        due: false,
-        members: (0..cells.len()).collect(),
-    }];
-    while let Some(mut b) = stack.pop() {
+impl<'c> PolicyGroup<'c> {
+    /// A group over `cells`, which must share one [`group_key`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` is empty, or if its cells do not all share one
+    /// [`group_key`].
+    pub(crate) fn new(cells: &[&'c GridCell]) -> PolicyGroup<'c> {
+        let first = cells[0];
+        let key = group_key(first);
+        assert!(
+            key.is_some() && cells.iter().all(|c| group_key(c) == key),
+            "a policy group's cells share one group key"
+        );
+        let cfg = first.config();
+        PolicyGroup {
+            fl: FastLoop::new(&cfg, first.power_ref(), skip_default()),
+            ceilings: cells.iter().map(|c| warm_start_ceiling(&c.config().dtm)).collect(),
+            cells: cells.to_vec(),
+            cfg,
+        }
+    }
+
+    /// The group's first branch: a fresh machine carrying every member,
+    /// each with a fresh policy.
+    pub(crate) fn trunk(&self) -> Branch {
+        let members = self
+            .cells
+            .iter()
+            .enumerate()
+            .map(|(index, cell)| Member {
+                index,
+                policy: build_policy_at(&cell.config().dtm, self.cfg.core.clock_hz),
+            })
+            .collect();
+        Branch {
+            m: Machine::for_workload(&self.cfg, &self.cells[0].workload),
+            acc: RunAccum::new(),
+            warm_start_power: [0.0; NUM_THERMAL],
+            due: false,
+            members,
+        }
+    }
+
+    /// Runs `b` until it stops, handing each branch that forks off it to
+    /// `spawn` (run those the same way), and returns the reports of the
+    /// members that stayed on `b`.
+    pub(crate) fn run_branch(&self, mut b: Branch, spawn: &mut dyn FnMut(Branch)) -> BranchEnd {
+        let fl = &self.fl;
+        let mut splits = Vec::new();
         loop {
             if !b.due {
-                match b.m.advance::<false>(&mut b.acc, &mut b.warm_start_power, &fl, None) {
+                match b.m.advance::<false>(&mut b.acc, &mut b.warm_start_power, fl, None) {
                     Pause::Stop => break,
                     Pause::Boundary => {}
                     Pause::WarmStart(cycle) => {
                         let spread = *b.m.thermal.temperatures_fixed::<NUM_THERMAL>();
                         let classes = partition(
-                            &b.members,
-                            |i| spread.map(|t| clamped(t, ceilings[i])),
+                            std::mem::take(&mut b.members),
+                            |member| spread.map(|t| clamped(t, self.ceilings[member.index])),
                             |temps| temps.map(f64::to_bits),
                         );
                         if classes.len() > 1 {
                             let (cycle, classes) = (b.acc.cycle, classes.len());
                             splits.push(Split { cycle, warm_start: true, classes });
                         }
-                        b.split(classes, &mut stack, |branch, temps| {
+                        b.split(classes, spawn, |branch, temps| {
                             for (block, &t) in temps.iter().enumerate() {
                                 branch.m.thermal.set_temperature(block, t);
                             }
-                            branch.m.finish_warm_cycle(&mut branch.acc, &cycle, &fl);
+                            branch.m.finish_warm_cycle(&mut branch.acc, &cycle, fl);
                             branch.due = true;
                         });
                     }
@@ -228,23 +263,53 @@ pub fn run_policy_group(cells: &[&GridCell]) -> GroupRun {
             let sample_cycle = b.acc.cycle - 1;
             let sensed = b.m.sense();
             b.acc.samples += 1;
-            let classes =
-                partition(&b.members, |i| policies[i].sample(&sensed), command_bits);
+            let classes = partition(
+                std::mem::take(&mut b.members),
+                |member| member.policy.sample(&sensed),
+                command_bits,
+            );
             if classes.len() > 1 {
                 let classes = classes.len();
                 splits.push(Split { cycle: sample_cycle, warm_start: false, classes });
             }
-            b.split(classes, &mut stack, |branch, cmd| branch.m.apply(cmd, &cfg));
+            b.split(classes, spawn, |branch, cmd| branch.m.apply(cmd, &self.cfg));
         }
-        for &i in &b.members {
-            reports[i] = Some(finalize_report(
-                first.workload.name,
-                policies[i].as_ref(),
-                b.m.thermal.params(),
-                b.m.core.stats(),
-                b.m.core.bpred().accuracy(),
-                &b.acc,
-            ));
+        let reports = b
+            .members
+            .iter()
+            .map(|member| {
+                let report = finalize_report(
+                    self.cells[0].workload.name,
+                    member.policy.as_ref(),
+                    b.m.thermal.params(),
+                    b.m.core.stats(),
+                    b.m.core.bpred().accuracy(),
+                    &b.acc,
+                );
+                (member.index, report)
+            })
+            .collect();
+        BranchEnd { reports, splits }
+    }
+}
+
+/// Runs the cells of one policy group on this thread, forks depth-first,
+/// each report byte-identical to the cell's solo run.
+///
+/// # Panics
+///
+/// Panics if `cells` is empty, or if its cells do not all share one
+/// [`group_key`].
+pub fn run_policy_group(cells: &[&GridCell]) -> GroupRun {
+    let group = PolicyGroup::new(cells);
+    let mut reports: Vec<Option<RunReport>> = vec![None; cells.len()];
+    let mut splits = Vec::new();
+    let mut stack = vec![group.trunk()];
+    while let Some(b) = stack.pop() {
+        let end = group.run_branch(b, &mut |fork| stack.push(fork));
+        splits.extend(end.splits);
+        for (i, report) in end.reports {
+            reports[i] = Some(report);
         }
     }
     GroupRun {

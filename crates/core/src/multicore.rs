@@ -811,16 +811,16 @@ impl MulticoreSim {
 }
 
 /// Runs `cfg` either on the single-core [`Simulator`] (when
-/// `cfg.chip.cores == 1` and no supervisor is attached) or on the
-/// multicore chip, returning core 0's report plus the chip report when a
-/// chip actually ran. Experiment drivers use this to make any grid cell
+/// [`cfg.chip.is_single_core()`](crate::ChipConfig::is_single_core)) or
+/// on the multicore chip, returning core 0's report plus the chip report
+/// when a chip actually ran. Experiment drivers use this to make any grid cell
 /// chip-aware without forking their plumbing.
 pub fn run_chip_cell(
     cfg: SimConfig,
     workload: &Workload,
     power: Arc<PowerModel>,
 ) -> (RunReport, Option<ChipReport>) {
-    if cfg.chip.cores == 1 && cfg.chip.supervisor.is_none() {
+    if cfg.chip.is_single_core() {
         let mut sim = Simulator::for_workload_with_power(cfg, workload, power);
         (sim.run(), None)
     } else {

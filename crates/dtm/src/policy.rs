@@ -10,8 +10,10 @@ use crate::config::{DtmConfig, PolicyKind};
 use tdtm_control::design::{design_controller, ControllerKind, FopdtPlant};
 use tdtm_control::pid::{quantize, PidController, PidSample};
 
-/// A dynamic thermal management policy.
-pub trait DtmPolicy {
+/// A dynamic thermal management policy. Policies are `Send` so a run's
+/// policy can move to another worker thread with the run (a policy
+/// group's forks run on any engine worker).
+pub trait DtmPolicy: Send {
     /// Consumes one sample of sensed block temperatures and returns the
     /// actuator command for the next interval.
     fn sample(&mut self, temps: &[f64]) -> DtmCommand;

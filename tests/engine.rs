@@ -142,8 +142,8 @@ fn cached_rerun_replays_byte_identical_reports() {
     let grid = small_grid();
     let cache = ResultCache::in_memory();
     let reference = grid.run_threads_with_grouping(1, false);
-    let cold = grid.run_threads_cached(4, true, &cache);
-    let warm = grid.run_threads_cached(4, true, &cache);
+    let cold = grid.run_threads_cached(4, &cache);
+    let warm = grid.run_threads_cached(4, &cache);
 
     let n = reference.runs.len() as u64;
     let cold_stats = cold.cache_stats.expect("cached run reports stats");
@@ -182,7 +182,7 @@ fn identical_cells_within_a_grid_simulate_once() {
         .policies(&[PolicyKind::None, PolicyKind::Pid])
         .variants(&[("base", |_| {}), ("twin", |_| {})]);
     let cache = ResultCache::in_memory();
-    let results = grid.run_threads_cached(4, true, &cache);
+    let results = grid.run_threads_cached(4, &cache);
     let stats = results.cache_stats.expect("cached run reports stats");
     assert_eq!(stats.cache_misses, 2, "one simulation per distinct fingerprint");
     assert_eq!(stats.cache_hits, 2, "each twin replays its leader");

@@ -84,3 +84,28 @@ fn groups_fork_only_where_commands_diverge() {
         assert_eq!(format!("{report:?}"), format!("{:?}", cell.simulator().run()), "{}", cell.label());
     }
 }
+
+#[test]
+fn one_program_forks_across_workers_byte_identically() {
+    // A grid of one hot program is a single policy group. Its forks join
+    // the engine's shared work queue and run on any worker; whichever
+    // worker runs a branch, every report equals the per-cell path's.
+    let grid = ExperimentGrid::new(ExperimentScale { insts: 10_000, warmup_cycles: 1_000 })
+        .workload(tdtm::workloads::by_name("gcc").expect("suite workload"))
+        .policies(&PolicyKind::all())
+        .variant("hot", |cfg| cfg.heatsink_temp = 107.0);
+    let reference = grid.run_threads_with_grouping(1, false);
+    for threads in [2, 4] {
+        let grouped = grid.run_threads_with_grouping(threads, true);
+        assert_eq!(grouped.runs.len(), reference.runs.len());
+        for (g, r) in grouped.runs.iter().zip(&reference.runs) {
+            assert_eq!(g.index, r.index);
+            assert_eq!(
+                format!("{:?}", g.report),
+                format!("{:?}", r.report),
+                "{} on {threads} threads",
+                g.label()
+            );
+        }
+    }
+}
