@@ -170,9 +170,10 @@ where
     });
 }
 
-/// Assembles one cell's [`RunResult`] from its report — the shared
-/// tail of the solo, grouped, cached, and follower paths.
-fn result_from_report(cell: &GridCell, report: RunReport, wall: f64) -> RunResult {
+/// Assembles one cell's [`RunResult`] from its report and payload — the
+/// one constructor of every run path (solo, grouped, cached, follower,
+/// custom drivers, and streaming).
+fn result_from_report<R>(cell: &GridCell, report: RunReport, wall: f64, extra: R) -> RunResult<R> {
     RunResult {
         index: cell.index,
         bench: cell.workload.name.to_string(),
@@ -180,7 +181,7 @@ fn result_from_report(cell: &GridCell, report: RunReport, wall: f64) -> RunResul
         variant: cell.variant,
         obs: RunObservation::from_report(&report, wall),
         report,
-        extra: (),
+        extra,
     }
 }
 
@@ -239,7 +240,7 @@ fn run_cells_grouped(
 
     let results = Mutex::new(Vec::with_capacity(cells.len()));
     let finish = |cell: &GridCell, report: RunReport, wall: f64| {
-        let run = result_from_report(cell, report, wall);
+        let run = result_from_report(cell, report, wall, ());
         publish(&run);
         results.lock().expect("results lock poisoned").push(run);
     };
@@ -699,7 +700,7 @@ impl ExperimentGrid {
                         stats.cache_inflight_waits += 1;
                     }
                     let wall = start.elapsed().as_secs_f64().max(1e-9);
-                    runs[i] = Some(result_from_report(cell, artifact.report.clone(), wall));
+                    runs[i] = Some(result_from_report(cell, artifact.report.clone(), wall, ()));
                 }
                 Claim::Miss(guard) => {
                     guards.push(guard);
@@ -732,7 +733,7 @@ impl ExperimentGrid {
             let report =
                 runs[leader].as_ref().expect("leader cell was simulated").report.clone();
             let wall = start.elapsed().as_secs_f64().max(1e-9);
-            runs[i] = Some(result_from_report(&cells[i], report, wall));
+            runs[i] = Some(result_from_report(&cells[i], report, wall, ()));
         }
 
         GridResults {
@@ -769,16 +770,7 @@ impl ExperimentGrid {
         let runs = shard_map(&cells, threads, |_, cell| {
             let start = Instant::now();
             let (report, extra) = f(cell);
-            let wall = start.elapsed().as_secs_f64();
-            RunResult {
-                index: cell.index,
-                bench: cell.workload.name.to_string(),
-                policy: cell.policy,
-                variant: cell.variant,
-                obs: RunObservation::from_report(&report, wall),
-                report,
-                extra,
-            }
+            result_from_report(cell, report, start.elapsed().as_secs_f64(), extra)
         });
         GridResults {
             runs,
@@ -924,15 +916,7 @@ impl ExperimentGrid {
                         record.wall_seconds = wall;
                         record.cached = Some(true);
                         stamped.emit(&mut record);
-                        return RunResult {
-                            index: cell.index,
-                            bench: cell.workload.name.to_string(),
-                            policy: cell.policy,
-                            variant: cell.variant,
-                            obs: RunObservation::from_report(&artifact.report, wall),
-                            report: artifact.report.clone(),
-                            extra: record,
-                        };
+                        return result_from_report(cell, artifact.report.clone(), wall, record);
                     }
                     // An artifact without a record is a malformed entry
                     // for this domain (e.g. hand-edited disk file):
@@ -1025,15 +1009,7 @@ impl ExperimentGrid {
                 }
             }
             stamped.emit(&mut record);
-            RunResult {
-                index: cell.index,
-                bench: cell.workload.name.to_string(),
-                policy: cell.policy,
-                variant: cell.variant,
-                obs: RunObservation::from_report(&report, wall),
-                report,
-                extra: record,
-            }
+            result_from_report(cell, report, wall, record)
         });
         GridResults {
             runs,

@@ -37,8 +37,8 @@ use crate::config::SimConfig;
 use crate::engine::GridCell;
 use crate::metrics::RunReport;
 use crate::simulator::{
-    clamped, finalize_report, skip_default, warm_start_ceiling, FastLoop, Machine, Pause,
-    RunAccum, NUM_THERMAL,
+    clamped, finalize_report, skip_default, warm_start_ceiling, Machine, Pause, RunAccum,
+    RunConsts, NUM_THERMAL,
 };
 use tdtm_dtm::{build_policy_at, DtmCommand, DtmPolicy, PolicyKind, TriggerMechanism};
 
@@ -179,7 +179,7 @@ fn command_bits(cmd: &DtmCommand) -> CommandBits {
 pub(crate) struct PolicyGroup<'c> {
     cells: Vec<&'c GridCell>,
     cfg: SimConfig,
-    fl: FastLoop<'c>,
+    rc: RunConsts<'c>,
     ceilings: Vec<Option<f64>>,
 }
 
@@ -199,7 +199,7 @@ impl<'c> PolicyGroup<'c> {
         );
         let cfg = first.config();
         PolicyGroup {
-            fl: FastLoop::new(&cfg, first.power_ref(), skip_default()),
+            rc: RunConsts::new(&cfg, first.power_ref(), skip_default()),
             ceilings: cells.iter().map(|c| warm_start_ceiling(&c.config().dtm)).collect(),
             cells: cells.to_vec(),
             cfg,
@@ -231,11 +231,11 @@ impl<'c> PolicyGroup<'c> {
     /// `spawn` (run those the same way), and returns the reports of the
     /// members that stayed on `b`.
     pub(crate) fn run_branch(&self, mut b: Branch, spawn: &mut dyn FnMut(Branch)) -> BranchEnd {
-        let fl = &self.fl;
+        let rc = &self.rc;
         let mut splits = Vec::new();
         loop {
             if !b.due {
-                match b.m.advance::<false>(&mut b.acc, &mut b.warm_start_power, fl, None) {
+                match b.m.advance::<false>(&mut b.acc, &mut b.warm_start_power, rc, None) {
                     Pause::Stop => break,
                     Pause::Boundary => {}
                     Pause::WarmStart(cycle) => {
@@ -253,7 +253,7 @@ impl<'c> PolicyGroup<'c> {
                             for (block, &t) in temps.iter().enumerate() {
                                 branch.m.thermal.set_temperature(block, t);
                             }
-                            branch.m.finish_warm_cycle(&mut branch.acc, &cycle, fl);
+                            branch.m.finish_warm_cycle(&mut branch.acc, &cycle, rc);
                             branch.due = true;
                         });
                     }
@@ -272,7 +272,9 @@ impl<'c> PolicyGroup<'c> {
                 let classes = classes.len();
                 splits.push(Split { cycle: sample_cycle, warm_start: false, classes });
             }
-            b.split(classes, spawn, |branch, cmd| branch.m.apply(cmd, &self.cfg));
+            b.split(classes, spawn, |branch, cmd| {
+                branch.m.state.apply(&mut branch.m.thermal, cmd, rc);
+            });
         }
         let reports = b
             .members
@@ -282,8 +284,8 @@ impl<'c> PolicyGroup<'c> {
                     self.cells[0].workload.name,
                     member.policy.as_ref(),
                     b.m.thermal.params(),
-                    b.m.core.stats(),
-                    b.m.core.bpred().accuracy(),
+                    b.m.state.core.stats(),
+                    b.m.state.core.bpred().accuracy(),
                     &b.acc,
                 );
                 (member.index, report)

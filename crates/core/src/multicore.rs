@@ -16,9 +16,10 @@
 //!
 //! * **N = 1** (or zero coupling) has no coupling edges, so the thermal
 //!   step is the plain single-core kernel bit for bit, and the per-core
-//!   cycle body replicates the single-core loop's order of operations —
-//!   core 0's [`RunReport`] is byte-identical to [`Simulator::run`]
-//!   (pinned by `tests/multicore.rs`).
+//!   cycle body is the single-core loops' own per-core step
+//!   (`CoreState`) in the same order — core 0's [`RunReport`] is
+//!   byte-identical to [`Simulator::run`] (pinned by
+//!   `tests/multicore.rs`).
 //! * A cool chip makes the supervisor the identity, so attaching it to a
 //!   chip with thermal headroom changes nothing.
 //!
@@ -35,68 +36,31 @@
 use crate::config::SimConfig;
 use crate::metrics::RunReport;
 use crate::simulator::{
-    finalize_report, skip_default, warm_start_jump, RunAccum, Simulator, SkipReason, SkipWindow,
-    TelemetryState, MIN_SKIP_WINDOW, NUM_THERMAL,
+    finalize_report, skip_default, warm_start_jump, CoreState, RunAccum, RunConsts, Simulator,
+    SkipReason, SkipWindow, TelemetryState, NUM_THERMAL,
 };
 use std::sync::Arc;
-use tdtm_dtm::{
-    build_policy_at, ChipSupervisor, DtmCommand, DtmConfig, DtmPolicy, SensorModel,
-    TriggerMechanism,
-};
+use tdtm_dtm::{build_policy_at, ChipSupervisor, DtmCommand, DtmConfig, DtmPolicy, TriggerMechanism};
 use tdtm_isa::Program;
 use tdtm_power::PowerModel;
 use tdtm_telemetry::{Event, EventTrace, RegistrySnapshot, Telemetry, TelemetryConfig};
 use tdtm_thermal::{CoupledChip, MulticoreFloorplan};
-use tdtm_uarch::{Core, CoreControl, IdleKind};
 use tdtm_workloads::Workload;
 
-/// One core's machine state: pipeline, policy, actuators, accumulators.
+/// One core of the chip: its actuated state ([`CoreState`], the same
+/// per-core step the single-core loops take), policy, and accumulators.
+/// Its thermal model lives in the coupled chip.
 struct CoreSlot {
-    core: Core,
+    state: CoreState,
     policy: Box<dyn DtmPolicy>,
-    sensors: SensorModel,
     /// This core's DTM configuration (the chip configuration with the
     /// policy swapped for neighbor cores).
     dtm: DtmConfig,
     name: String,
-    resync_remaining: u64,
-    vf_power_scale: f64,
-    vf_freq_scale: f64,
-    vf_engaged: bool,
     duty_history: Vec<f64>,
     acc: RunAccum,
     warm_start_power: [f64; NUM_THERMAL],
     parked: bool,
-}
-
-impl CoreSlot {
-    /// Applies a DTM command to this core — the same actuator semantics
-    /// as the single-core simulator, retiming this core's thermal model
-    /// on a V/f transition.
-    fn apply(&mut self, thermal: &mut tdtm_thermal::BlockModel, cmd: DtmCommand, cycle_time: f64) {
-        self.core.set_control(CoreControl {
-            fetch_duty: cmd.fetch_duty,
-            fetch_width_limit: cmd.fetch_width_limit,
-            max_unresolved_branches: cmd.max_unresolved_branches,
-        });
-        match (cmd.vf, self.vf_engaged) {
-            (Some(vf), false) => {
-                self.vf_engaged = true;
-                self.vf_power_scale = vf.power_scale();
-                self.vf_freq_scale = vf.freq_scale;
-                thermal.set_dt(cycle_time / vf.freq_scale);
-                self.resync_remaining = self.dtm.vf_resync_cycles;
-            }
-            (None, true) => {
-                self.vf_engaged = false;
-                self.vf_power_scale = 1.0;
-                self.vf_freq_scale = 1.0;
-                thermal.set_dt(cycle_time);
-                self.resync_remaining = self.dtm.vf_resync_cycles;
-            }
-            _ => {}
-        }
-    }
 }
 
 /// The collected telemetry of one chip run: one per-core [`Telemetry`]
@@ -273,19 +237,14 @@ impl MulticoreSim {
                     }
                 }
                 CoreSlot {
-                    core: Core::with_skip_shared(cfg.core, program.clone(), skip),
+                    state: CoreState::new(&cfg, program.clone(), skip),
                     policy: build_policy_at(&dtm, cfg.core.clock_hz),
-                    sensors: SensorModel::ideal(),
                     dtm,
                     name: if k == 0 {
                         name.to_string()
                     } else {
                         format!("{name}#{k}")
                     },
-                    resync_remaining: 0,
-                    vf_power_scale: 1.0,
-                    vf_freq_scale: 1.0,
-                    vf_engaged: false,
                     duty_history: Vec::new(),
                     acc: RunAccum::new(),
                     warm_start_power: [0.0; NUM_THERMAL],
@@ -351,7 +310,7 @@ impl MulticoreSim {
     pub fn enable_telemetry(&mut self, cfg: &TelemetryConfig) {
         if cfg.phases {
             for slot in &mut self.slots {
-                slot.core.set_stage_profiling(true);
+                slot.state.core.set_stage_profiling(true);
             }
         }
         self.telemetry = Some(ChipTelemetryState {
@@ -426,41 +385,27 @@ impl MulticoreSim {
         // Detached for the loop (same discipline as the single-core
         // path); flushed into `collected` at the end.
         let mut tstate = telemetry.take();
-        let stage_start: Vec<[u64; 6]> = slots.iter().map(|s| s.core.stage_nanos()).collect();
-        let cycles_start: Vec<u64> = slots.iter().map(|s| s.core.stats().cycles).collect();
-        let interval = cfg.dtm.sample_interval.max(1);
-        let emergency = cfg.dtm.emergency;
-        let stress = emergency - 1.0;
-        let nominal_dt = cfg.cycle_time();
-        let warmup = cfg.thermal_warmup_cycles;
-        let idle_sample = power.cycle_power(&tdtm_uarch::Activity::new());
-        let warm_window = if cfg.warm_start { interval } else { 0 };
-        let leak = cfg.leakage;
-        let peaks: [f64; NUM_THERMAL] =
-            std::array::from_fn(|i| power.peak(tdtm_uarch::activity::THERMAL_BLOCKS[i]));
+        let stage_start: Vec<[u64; 6]> =
+            slots.iter().map(|s| s.state.core.stage_nanos()).collect();
+        let cycles_start: Vec<u64> = slots.iter().map(|s| s.state.core.stats().cycles).collect();
+        let rc = RunConsts::new(cfg, power, *skip);
         let n = slots.len();
         let mut powers: Vec<Vec<f64>> = vec![vec![0.0; NUM_THERMAL]; n];
         let mut totals = vec![0.0f64; n];
         let mut active: Vec<bool> = slots.iter().map(|s| !s.parked).collect();
         let mut hottest = vec![f64::NEG_INFINITY; n];
         let mut cmds: Vec<Option<DtmCommand>> = (0..n).map(|_| None).collect();
-        let mut sensed = [0.0f64; NUM_THERMAL];
-        // Chip-level idle-gap skipping is off under temperature-dependent
-        // leakage: an idle core's power then varies with its temperature,
-        // so phase 1 is no longer constant across a gap.
-        let skipping = *skip && leak.is_none();
         let mut gap_remaining: u64 = 0;
 
         'run: loop {
             if active.iter().all(|a| !a) {
                 break;
             }
-            let mut remaining = interval - *chip_cycles % interval;
+            let mut remaining = rc.interval - *chip_cycles % rc.interval;
             while remaining > 0 {
                 // Chip-level idle-gap fast-forward: when every active
                 // core is simultaneously inside a provably-idle window
-                // (resync-stalled, fetch-gated shut, or drained against
-                // a known wake cycle — parked cores are idle by
+                // ([`CoreState::idle_window`] — parked cores are idle by
                 // definition), phase 1 produces the bitwise-same idle
                 // powers every cycle. The loop stages those powers once,
                 // applies the cores' window bookkeeping wholesale
@@ -471,86 +416,37 @@ impl MulticoreSim {
                 // byte-identical to the non-skipping loop even with
                 // coupling attached. Gaps are clipped so no stop
                 // condition, park transition, warmup crossing, or DTM
-                // boundary can fall inside them.
-                if gap_remaining == 0 && skipping {
-                    'probe: {
-                        let mut m = remaining;
-                        let mut any_parked = false;
-                        let mut all_resync = true;
-                        let mut any_gated = false;
-                        for slot in slots.iter_mut() {
-                            if slot.parked {
-                                any_parked = true;
-                                continue;
-                            }
-                            // The warm-start window accumulates power per
-                            // cycle in phase 3; no gaps until past it.
-                            if slot.acc.cycle < warm_window {
-                                break 'probe;
-                            }
-                            // A core due to park *this* cycle must park
-                            // through phase 1 (the active mask feeds the
-                            // masked thermal step).
-                            let counting = slot.acc.cycle >= warmup;
-                            let base = if counting && slot.acc.counted_cycles == 0 {
-                                slot.core.stats().committed
-                            } else {
-                                slot.acc.committed_at_count_start
-                            };
-                            if (counting
-                                && slot.core.stats().committed.saturating_sub(base)
-                                    >= cfg.max_insts)
-                                || slot.acc.cycle >= cfg.max_cycles
-                                || slot.core.finished()
-                            {
-                                break 'probe;
-                            }
-                            let mut cap = remaining.min(cfg.max_cycles - slot.acc.cycle);
-                            if slot.acc.cycle < warmup {
-                                cap = cap.min(warmup - slot.acc.cycle);
-                            }
-                            let window = if slot.resync_remaining > 0 {
-                                slot.resync_remaining.min(cap)
-                            } else {
-                                all_resync = false;
-                                match slot.core.idle_window(cap) {
-                                    Some((len, kind)) => {
-                                        if kind == IdleKind::Gated {
-                                            any_gated = true;
-                                        }
-                                        len
-                                    }
-                                    None => break 'probe,
-                                }
-                            };
-                            m = m.min(window);
+                // boundary can fall inside them; a core due to park
+                // *this* cycle must park through phase 1 (the active
+                // mask feeds the masked thermal step).
+                if gap_remaining == 0 && rc.skip {
+                    let mut gap = Some(remaining);
+                    let (mut any_parked, mut all_resync, mut any_gated) = (false, true, false);
+                    for slot in slots.iter_mut() {
+                        if slot.parked {
+                            any_parked = true;
+                            continue;
                         }
-                        if m < MIN_SKIP_WINDOW {
-                            break 'probe;
-                        }
+                        let window = if slot.state.stopped(&mut slot.acc, &rc) {
+                            None
+                        } else {
+                            slot.state.idle_window(&slot.acc, remaining, &rc)
+                        };
+                        let Some((len, reason)) = window else {
+                            gap = None;
+                            break;
+                        };
+                        gap = gap.map(|m| m.min(len));
+                        all_resync &= reason == SkipReason::Resync;
+                        any_gated |= reason == SkipReason::Gated;
+                    }
+                    if let Some(m) = gap {
                         for (k, slot) in slots.iter_mut().enumerate() {
-                            if slot.parked {
-                                continue;
+                            if !slot.parked {
+                                let (p, total) = slot.state.skip_window(m, &rc);
+                                powers[k].copy_from_slice(&p);
+                                totals[k] = total;
                             }
-                            let counting = slot.acc.cycle >= warmup;
-                            if counting && slot.acc.counted_cycles == 0 {
-                                slot.acc.committed_at_count_start = slot.core.stats().committed;
-                            }
-                            if slot.resync_remaining > 0 {
-                                slot.resync_remaining -= m;
-                            } else {
-                                slot.core.skip_idle(m);
-                            }
-                            // Every gap cycle draws the bitwise-same idle
-                            // power, so staging the scaled powers once is
-                            // exactly what phase 1 would compute.
-                            let scale = slot.vf_power_scale;
-                            let thermal_powers = idle_sample.thermal_powers();
-                            let buf = &mut powers[k];
-                            for i in 0..NUM_THERMAL {
-                                buf[i] = thermal_powers[i] * scale;
-                            }
-                            totals[k] = idle_sample.total * scale;
                         }
                         if *log_skip_windows {
                             let reason = if any_parked {
@@ -582,18 +478,7 @@ impl MulticoreSim {
                         if slot.parked {
                             continue;
                         }
-                        let counting = slot.acc.cycle >= warmup;
-                        if counting && slot.acc.counted_cycles == 0 {
-                            slot.acc.committed_at_count_start = slot.core.stats().committed;
-                        }
-                        let budget_hit = slot
-                            .core
-                            .stats()
-                            .committed
-                            .saturating_sub(slot.acc.committed_at_count_start)
-                            >= cfg.max_insts
-                            && counting;
-                        if budget_hit || slot.acc.cycle >= cfg.max_cycles || slot.core.finished() {
+                        if slot.state.stopped(&mut slot.acc, &rc) {
                             slot.parked = true;
                             active[k] = false;
                             if let Some(ts) = tstate.as_mut() {
@@ -608,30 +493,10 @@ impl MulticoreSim {
                             }
                             continue;
                         }
-                        let sample = if slot.resync_remaining > 0 {
-                            slot.resync_remaining -= 1;
-                            idle_sample
-                        } else {
-                            power.cycle_power(slot.core.cycle())
-                        };
-                        let scale = slot.vf_power_scale;
-                        let thermal_powers = sample.thermal_powers();
-                        let mut total = sample.total * scale;
-                        let buf = &mut powers[k];
-                        for i in 0..NUM_THERMAL {
-                            buf[i] = thermal_powers[i] * scale;
-                        }
-                        if let Some(leak) = leak {
-                            let temps_now = chip.temperatures(k);
-                            for i in 0..NUM_THERMAL {
-                                // Leakage scales with V (roughly linearly
-                                // through V·I_leak); reuse the dynamic scale
-                                // conservatively, as the single-core loops do.
-                                let lp = leak.leakage_power(peaks[i], temps_now[i]) * scale;
-                                buf[i] += lp;
-                                total += lp;
-                            }
-                        }
+                        let sample = slot.state.cycle_power(&rc, |a| rc.power.cycle_power(a));
+                        let (p, total) =
+                            slot.state.powers_with_leakage(&sample, chip.temperatures(k), &rc);
+                        powers[k].copy_from_slice(&p);
                         totals[k] = total;
                     }
                 }
@@ -652,36 +517,21 @@ impl MulticoreSim {
                         cts.thermal_steps += 1;
                         let temps = chip.core_models()[k].temperatures_fixed::<NUM_THERMAL>();
                         let hottest = temps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                        let (emergency, stress) = (rc.emergency, rc.stress);
                         cts.observe_cycle(slot.acc.cycle, &temps[..], hottest, emergency, stress);
                     }
-                    if slot.acc.cycle < warm_window {
-                        for (acc_p, p) in slot.warm_start_power.iter_mut().zip(&powers[k]) {
-                            *acc_p += p;
-                        }
-                        if slot.acc.cycle + 1 == interval {
-                            warm_start_jump(
-                                chip.core_mut(k),
-                                &slot.dtm,
-                                &mut slot.warm_start_power,
-                                interval,
-                            );
-                        }
-                    }
-                    if slot.acc.cycle >= warmup {
-                        let temps = chip.core_models()[k].temperatures_fixed();
-                        let block_powers: &[f64; NUM_THERMAL] = powers[k]
-                            .as_slice()
-                            .try_into()
-                            .expect("seven thermal blocks");
-                        slot.acc.record_cycle(
-                            temps,
-                            block_powers,
-                            totals[k],
-                            nominal_dt / slot.vf_freq_scale,
-                            emergency,
-                            stress,
+                    if rc.warm_start_due(slot.acc.cycle, &mut slot.warm_start_power, &powers[k]) {
+                        warm_start_jump(
+                            chip.core_mut(k),
+                            &slot.dtm,
+                            &mut slot.warm_start_power,
+                            rc.interval,
                         );
                     }
+                    let block_powers: &[f64; NUM_THERMAL] =
+                        powers[k].as_slice().try_into().expect("seven thermal blocks");
+                    let temps = chip.core_models()[k].temperatures_fixed();
+                    slot.state.record_cycle(&mut slot.acc, temps, block_powers, totals[k], &rc);
                     slot.acc.cycle += 1;
                 }
                 *chip_cycles += 1;
@@ -698,8 +548,7 @@ impl MulticoreSim {
                 if slot.parked {
                     continue;
                 }
-                let temps = chip.core_models()[k].temperatures_fixed::<NUM_THERMAL>();
-                slot.sensors.read_all(&temps[..], &mut sensed);
+                let sensed = slot.state.sense(chip.temperatures(k));
                 hottest[k] = sensed.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 let cmd = match tstate.as_mut() {
                     Some(ts) => {
@@ -757,13 +606,11 @@ impl MulticoreSim {
                     // (post-supervisor-cap) duty, matching duty_history.
                     let cts = &mut ts.cores[k];
                     cts.record_duty_hist(cmd.fetch_duty);
-                    let from = slot.core.control().fetch_duty;
-                    if cmd.fetch_duty != from {
-                        cts.record_duty_change(slot.acc.cycle - 1, from, cmd.fetch_duty);
-                    }
+                    let from = slot.state.core.control().fetch_duty;
+                    cts.record_duty_change(slot.acc.cycle - 1, from, cmd.fetch_duty);
                 }
                 slot.duty_history.push(cmd.fetch_duty);
-                slot.apply(chip.core_mut(k), cmd, nominal_dt);
+                slot.state.apply(chip.core_mut(k), cmd, &rc);
             }
         }
 
@@ -774,7 +621,7 @@ impl MulticoreSim {
                 .enumerate()
                 .map(|(k, cts)| {
                     cts.flush(
-                        &slots[k].core,
+                        &slots[k].state.core,
                         slots[k].acc.cycle,
                         slots[k].acc.samples,
                         stage_start[k],
@@ -797,8 +644,8 @@ impl MulticoreSim {
                         &slot.name,
                         slot.policy.as_ref(),
                         chip.core_models()[k].params(),
-                        slot.core.stats(),
-                        slot.core.bpred().accuracy(),
+                        slot.state.core.stats(),
+                        slot.state.core.bpred().accuracy(),
                         &slot.acc,
                     )
                 })

@@ -16,7 +16,7 @@ use tdtm_telemetry::{
 use tdtm_thermal::boxcar::BoxcarProxy;
 use tdtm_thermal::comparison::AgreementCounts;
 use tdtm_thermal::BlockModel;
-use tdtm_uarch::{Core, CoreControl, IdleKind};
+use tdtm_uarch::{Activity, Core, CoreControl, IdleKind};
 use tdtm_workloads::Workload;
 
 pub(crate) const NUM_THERMAL: usize = 7;
@@ -133,15 +133,33 @@ pub struct Simulator {
     skip_windows: Vec<SkipWindow>,
 }
 
-/// The simulated machine a run advances: core, thermal model, sensors,
-/// and the V/f actuator state — everything but the policy and the
+/// The simulated machine a run advances: one core's actuated state and
+/// its thermal model — everything but the policy and the
 /// instrumentation. Cloning it forks a run: a policy group
 /// ([`crate::group`]) clones the machine where its members' DTM
 /// commands diverge.
 #[derive(Clone)]
 pub(crate) struct Machine {
-    pub(crate) core: Core,
+    pub(crate) state: CoreState,
     pub(crate) thermal: BlockModel,
+}
+
+/// One core's actuated state: the pipeline, its sensors, and the V/f
+/// actuator. Every cycle loop — the fast loop ([`Machine::advance`]),
+/// the reference loop, and the chip loop, which keeps one per core —
+/// takes its per-core decisions through these methods, so each has one
+/// copy: the stop check, the idle-window probe, the cycle's power
+/// sample, the scaled power with leakage, the counted-cycle record, and
+/// the actuator apply. The thermal model stays outside: the chip loop
+/// steps all cores' models as one coupled die.
+///
+/// The methods carry plain `#[inline]` hints on purpose: forcing them
+/// `#[inline(always)]` left every cycle's arithmetic unchanged but made
+/// the chip loop about a quarter slower (perfbench `hot_chip`, 2-vCPU
+/// host), so inlining is left to the compiler.
+#[derive(Clone)]
+pub(crate) struct CoreState {
+    pub(crate) core: Core,
     sensors: SensorModel,
     /// Remaining stall cycles from a V/f resynchronization.
     resync_remaining: u64,
@@ -336,8 +354,12 @@ impl TelemetryState {
         }
     }
 
-    /// Records an applied duty-level change.
+    /// Records the duty-level change of applying duty `to` over `from`
+    /// (nothing when they are equal).
     pub(crate) fn record_duty_change(&mut self, cycle: u64, from: f64, to: f64) {
+        if to == from {
+            return;
+        }
         self.duty_changes += 1;
         if let Some(trace) = &mut self.events {
             trace.record(Event::DutyChange {
@@ -478,11 +500,10 @@ impl Trace {
     }
 }
 
-/// The once-per-run classification of everything the cycle loop would
-/// otherwise have to test per cycle: which instrumentation is attached,
-/// which optional physics are enabled, and whether DTM commands apply
-/// directly. [`Simulator::run`] resolves a plan once, then dispatches to
-/// a loop specialized for it.
+/// The once-per-run classification of what picks the cycle loop: which
+/// instrumentation is attached and whether DTM commands apply directly.
+/// [`Simulator::run`] resolves a plan once, then dispatches to a loop
+/// specialized for it.
 #[derive(Clone, Copy, Debug)]
 struct RunPlan {
     /// Telemetry collection is attached (events, metrics, or phases).
@@ -496,10 +517,6 @@ struct RunPlan {
     trace: bool,
     /// Power-trace recording is on.
     power_trace: bool,
-    /// Temperature-dependent leakage feedback is enabled.
-    leakage: bool,
-    /// The run starts with a warm-start window (first sampling interval).
-    warm_start: bool,
     /// DTM commands are interrupt-delayed — or a delayed command is still
     /// queued from a previous run — so the pending queue must be polled.
     interrupt: bool,
@@ -513,8 +530,6 @@ impl RunPlan {
             proxies: !sim.proxies.is_empty(),
             trace: sim.trace.is_some(),
             power_trace: sim.power_trace.is_some(),
-            leakage: sim.cfg.leakage.is_some(),
-            warm_start: sim.cfg.warm_start,
             interrupt: !matches!(sim.cfg.dtm.mechanism, TriggerMechanism::Direct)
                 || !sim.pending.is_empty(),
         }
@@ -573,6 +588,12 @@ impl RunAccum {
         }
     }
 
+    /// Instructions committed since counting began, out of `committed`
+    /// in all.
+    pub(crate) fn counted_committed(&self, committed: u64) -> u64 {
+        committed.saturating_sub(self.committed_at_count_start)
+    }
+
     /// Folds one counted cycle into the accumulators. The arithmetic and
     /// its order are shared verbatim by both loops — that sharing is what
     /// makes their reports byte-identical.
@@ -625,7 +646,7 @@ impl RunAccum {
     /// run in locals inside the fold, the constant-power chains
     /// (`wall_time`, `sum_power`, `block_sum_p`) in a loop of their own,
     /// and the power maxima, which a repeated operand cannot move twice,
-    /// apply once. The thresholds are `fl`'s.
+    /// apply once. The thresholds are `rc`'s.
     pub(crate) fn record_gap(
         &mut self,
         thermal: &mut BlockModel,
@@ -633,12 +654,12 @@ impl RunAccum {
         total_power: f64,
         dt_wall: f64,
         cycles: u64,
-        fl: &FastLoop,
+        rc: &RunConsts,
     ) {
         if cycles == 0 {
             return;
         }
-        let (emergency, stress) = (fl.emergency, fl.stress);
+        let (emergency, stress) = (rc.emergency, rc.stress);
         let mut sum_t = self.block_sum_t;
         let mut max_t = self.block_max_t;
         let mut emerg = self.block_emerg;
@@ -684,11 +705,12 @@ impl RunAccum {
     }
 }
 
-/// The warm-start jump applied at the end of the first sampling interval:
-/// every block jumps to the steady state of its observed average power,
-/// capped at the policy's control ceiling ([`warm_start_ceiling`]).
-/// Shared by the reference loop and, per core, by the multicore
-/// simulator; the fast loop pauses between the two halves
+/// The warm-start jump applied at the end of the first sampling interval
+/// ([`RunConsts::warm_start_due`]): every block jumps to the steady
+/// state of its observed average power, capped at the policy's control
+/// ceiling ([`warm_start_ceiling`]). Shared by the reference loop and,
+/// per core, by the multicore simulator; the fast loop pauses between
+/// the two halves
 /// ([`warm_start_spread`], [`clamp_to_ceiling`]) so a policy group can
 /// fork there.
 pub(crate) fn warm_start_jump(
@@ -757,7 +779,7 @@ pub(crate) fn finalize_report(
     bpred_accuracy: f64,
     acc: &RunAccum,
 ) -> RunReport {
-    let committed = stats.committed.saturating_sub(acc.committed_at_count_start);
+    let committed = acc.counted_committed(stats.committed);
     let n = acc.counted_cycles.max(1) as f64;
     let blocks = (0..NUM_THERMAL)
         .map(|i| BlockMetrics {
@@ -871,7 +893,7 @@ impl Simulator {
     /// telemetry on or off.
     pub fn enable_telemetry(&mut self, cfg: &TelemetryConfig) {
         if cfg.phases {
-            self.m.core.set_stage_profiling(true);
+            self.m.state.core.set_stage_profiling(true);
         }
         self.telemetry = Some(Box::new(TelemetryState::new(cfg)));
     }
@@ -927,7 +949,7 @@ impl Simulator {
 
     /// Replaces the ideal sensors (for the sensor-fidelity ablation).
     pub fn set_sensors(&mut self, sensors: SensorModel) {
-        self.m.sensors = sensors;
+        self.m.state.sensors = sensors;
     }
 
     /// Attaches a per-structure boxcar power proxy with the given window,
@@ -1023,11 +1045,11 @@ impl Simulator {
         // loop so its mutable borrows stay disjoint from the simulator's
         // components; reattached as `collected` at the end.
         let mut tstate = self.telemetry.take();
-        let stage_nanos_start = self.m.core.stage_nanos();
-        let core_cycles_start = self.m.core.stats().cycles;
+        let stage_nanos_start = self.m.state.core.stage_nanos();
+        let core_cycles_start = self.m.state.core.stats().cycles;
 
         if plan.fast() && !self.reference_loop {
-            if plan.leakage {
+            if self.cfg.leakage.is_some() {
                 self.run_fast::<true>(&mut acc);
             } else {
                 self.run_fast::<false>(&mut acc);
@@ -1038,7 +1060,7 @@ impl Simulator {
 
         if let Some(ts) = tstate {
             self.collected = Some(ts.flush(
-                &self.m.core,
+                &self.m.state.core,
                 acc.cycle,
                 acc.samples,
                 stage_nanos_start,
@@ -1057,27 +1079,30 @@ impl Simulator {
     /// within the boundary cycle's body with nothing in between, so
     /// sampling after the chunk is bit-equivalent.
     fn run_fast<const LEAK: bool>(&mut self, acc: &mut RunAccum) {
-        let fl = FastLoop::new(&self.cfg, &self.power, self.skip);
+        let rc = RunConsts::new(&self.cfg, &self.power, self.skip);
         let mut warm_start_power = [0.0f64; NUM_THERMAL];
         let mut log = self.log_skip_windows.then_some(&mut self.skip_windows);
+        let m = &mut self.m;
         loop {
-            match self.m.advance::<LEAK>(acc, &mut warm_start_power, &fl, log.as_deref_mut()) {
+            match m.advance::<LEAK>(acc, &mut warm_start_power, &rc, log.as_deref_mut()) {
                 Pause::Stop => return,
                 Pause::WarmStart(cycle) => {
-                    clamp_to_ceiling(&mut self.m.thermal, warm_start_ceiling(&self.cfg.dtm));
-                    self.m.finish_warm_cycle(acc, &cycle, &fl);
+                    clamp_to_ceiling(&mut m.thermal, warm_start_ceiling(&self.cfg.dtm));
+                    m.finish_warm_cycle(acc, &cycle, &rc);
                 }
                 Pause::Boundary => {}
             }
-            let cmd = self.policy.sample(&self.m.sense());
+            let cmd = self.policy.sample(&m.sense());
             acc.samples += 1;
             self.duty_history.push(cmd.fetch_duty);
-            self.m.apply(cmd, &self.cfg);
+            m.state.apply(&mut m.thermal, cmd, &rc);
         }
     }
 
-    /// The fully instrumented reference cycle loop: telemetry, proxies,
-    /// traces, phase timing, and interrupt-delayed DTM all live here.
+    /// The fully instrumented reference cycle loop: the per-core step
+    /// ([`CoreState`]) plus everything that observes it — telemetry,
+    /// proxies, traces, the power trace, phase timing — and the
+    /// interrupt-delayed DTM queue.
     #[allow(clippy::too_many_lines)]
     fn run_reference(
         &mut self,
@@ -1085,104 +1110,56 @@ impl Simulator {
         plan: RunPlan,
         tstate: &mut Option<Box<TelemetryState>>,
     ) {
-        let interval = self.cfg.dtm.sample_interval.max(1);
-        let emergency = self.cfg.dtm.emergency;
-        let stress = emergency - 1.0;
-        let nominal_dt = self.cfg.cycle_time();
-        let warmup = self.cfg.thermal_warmup_cycles;
-        let idle_sample = self.power.cycle_power(&tdtm_uarch::Activity::new());
-        let mut sensed = [0.0f64; NUM_THERMAL];
+        let power = std::sync::Arc::clone(&self.power);
+        let rc = RunConsts::new(&self.cfg, &power, false);
+        let Simulator { cfg, m, policy, proxies, pending, duty_history, trace, power_trace, .. } =
+            self;
         let mut warm_start_power = [0.0f64; NUM_THERMAL];
-        let warm_window = if plan.warm_start { interval } else { 0 };
         // Per-block thermal resistances and the heatsink temperature are
         // run constants; hoisted for the proxy bookkeeping (this used to
         // collect a fresh `Vec<f64>` every cycle).
-        let proxy_rs: [f64; NUM_THERMAL] = std::array::from_fn(|i| self.m.thermal.params()[i].r);
-        let heatsink = self.m.thermal.heatsink();
+        let proxy_rs: [f64; NUM_THERMAL] = std::array::from_fn(|i| m.thermal.params()[i].r);
+        let heatsink = m.thermal.heatsink();
+        let (emergency, stress) = (rc.emergency, rc.stress);
 
         loop {
-            let counting = acc.cycle >= warmup;
-            if counting && acc.counted_cycles == 0 {
-                acc.committed_at_count_start = self.m.core.stats().committed;
-            }
-            // Stop conditions.
-            if self
-                .m
-                .core
-                .stats()
-                .committed
-                .saturating_sub(acc.committed_at_count_start)
-                >= self.cfg.max_insts
-                && counting
-            {
+            if m.state.stopped(acc, &rc) {
                 break;
             }
-            if acc.cycle >= self.cfg.max_cycles || self.m.core.finished() {
-                break;
-            }
+            let counting = acc.cycle >= rc.warmup;
 
             // One machine cycle (or a resync-stall cycle).
-            let sample = if self.m.resync_remaining > 0 {
-                self.m.resync_remaining -= 1;
-                idle_sample
-            } else {
-                let activity = self.m.core.cycle();
-                if plan.phases {
-                    let start = Instant::now();
-                    let sample = self.power.cycle_power(activity);
-                    let ts = tstate.as_deref_mut().expect("phases implies telemetry");
-                    ts.power_nanos += start.elapsed().as_nanos() as u64;
-                    ts.power_calls += 1;
-                    sample
-                } else {
-                    self.power.cycle_power(activity)
+            let sample = m.state.cycle_power(&rc, |activity| {
+                if !plan.phases {
+                    return rc.power.cycle_power(activity);
                 }
-            };
-            let scale = self.m.vf_power_scale;
-            let mut thermal_powers = sample.thermal_powers();
-            for p in &mut thermal_powers {
-                *p *= scale;
-            }
-            let mut total_power = sample.total * scale;
-            // Optional temperature-dependent leakage (extension): leakage
-            // at the block's *current* temperature adds to the power that
-            // heats it this cycle — the feedback loop.
-            if let Some(leak) = self.cfg.leakage {
-                let temps_now = self.m.thermal.temperatures();
-                for (i, b) in tdtm_uarch::activity::THERMAL_BLOCKS.iter().enumerate() {
-                    // Leakage scales with V (roughly linearly through
-                    // V·I_leak); reuse the dynamic scale conservatively.
-                    let lp = leak.leakage_power(self.power.peak(*b), temps_now[i]) * scale;
-                    thermal_powers[i] += lp;
-                    total_power += lp;
-                }
-            }
+                let start = Instant::now();
+                let sample = rc.power.cycle_power(activity);
+                let ts = tstate.as_deref_mut().expect("phases implies telemetry");
+                ts.power_nanos += start.elapsed().as_nanos() as u64;
+                ts.power_calls += 1;
+                sample
+            });
+            let (thermal_powers, total_power) =
+                m.state.powers_with_leakage(&sample, m.thermal.temperatures(), &rc);
             if plan.phases {
                 let start = Instant::now();
-                self.m.thermal.step(&thermal_powers);
+                m.thermal.step(&thermal_powers);
                 let ts = tstate.as_deref_mut().expect("phases implies telemetry");
                 ts.thermal_nanos += start.elapsed().as_nanos() as u64;
                 ts.thermal_calls += 1;
                 ts.thermal_steps += 1;
             } else {
-                self.m.thermal.step(&thermal_powers);
+                m.thermal.step(&thermal_powers);
                 if let Some(ts) = tstate.as_deref_mut() {
                     ts.thermal_steps += 1;
                 }
             }
-
-            // Warm start: after the first sampling interval, jump blocks
-            // to the steady state of the observed average power.
-            if acc.cycle < warm_window {
-                for i in 0..NUM_THERMAL {
-                    warm_start_power[i] += thermal_powers[i];
-                }
-                if acc.cycle + 1 == interval {
-                    self.apply_warm_start(&mut warm_start_power, interval);
-                }
+            if rc.warm_start_due(acc.cycle, &mut warm_start_power, &thermal_powers) {
+                warm_start_jump(&mut m.thermal, &cfg.dtm, &mut warm_start_power, rc.interval);
             }
 
-            let temps = self.m.thermal.temperatures();
+            let temps = m.thermal.temperatures_fixed();
             if let Some(ts) = tstate.as_deref_mut() {
                 // The per-cycle hottest-block fold is computed once here
                 // and shared with the histogram record inside
@@ -1190,52 +1167,33 @@ impl Simulator {
                 let hottest = temps.iter().copied().fold(f64::NEG_INFINITY, f64::max);
                 ts.observe_cycle(acc.cycle, temps, hottest, emergency, stress);
             }
-            if counting {
-                let temps: &[f64; NUM_THERMAL] = temps.try_into().expect("seven thermal blocks");
-                acc.record_cycle(
-                    temps,
-                    &thermal_powers,
-                    total_power,
-                    nominal_dt / self.m.vf_freq_scale,
-                    emergency,
-                    stress,
-                );
-            }
+            m.state.record_cycle(acc, temps, &thermal_powers, total_power, &rc);
 
             // Proxy bookkeeping (Tables 9/10).
-            if !self.proxies.is_empty() {
-                for proxy in &mut self.proxies {
-                    match &mut proxy.kind {
-                        ProxyKind::PerStructure { boxcars } => {
-                            for i in 0..NUM_THERMAL {
-                                boxcars[i].push(thermal_powers[i]);
-                                if counting {
-                                    let proxy_hot = boxcars[i].triggered_thermal(
-                                        proxy_rs[i],
-                                        heatsink,
-                                        emergency,
-                                    );
-                                    proxy.counts[i].record(temps[i] > emergency, proxy_hot);
-                                }
+            for proxy in proxies.iter_mut() {
+                match &mut proxy.kind {
+                    ProxyKind::PerStructure { boxcars } => {
+                        for i in 0..NUM_THERMAL {
+                            boxcars[i].push(thermal_powers[i]);
+                            if counting {
+                                let proxy_hot =
+                                    boxcars[i].triggered_thermal(proxy_rs[i], heatsink, emergency);
+                                proxy.counts[i].record(temps[i] > emergency, proxy_hot);
                             }
                         }
-                        ProxyKind::ChipWide {
-                            boxcar,
-                            threshold_w,
-                        } => {
-                            boxcar.push(total_power);
-                            if counting {
-                                let reference_hot = temps.iter().any(|&t| t > emergency);
-                                proxy.counts[0]
-                                    .record(reference_hot, boxcar.triggered(*threshold_w));
-                            }
+                    }
+                    ProxyKind::ChipWide { boxcar, threshold_w } => {
+                        boxcar.push(total_power);
+                        if counting {
+                            let reference_hot = temps.iter().any(|&t| t > emergency);
+                            proxy.counts[0].record(reference_hot, boxcar.triggered(*threshold_w));
                         }
                     }
                 }
             }
 
             // Power-trace recording.
-            if let Some(rec) = &mut self.power_trace {
+            if let Some(rec) = power_trace {
                 for (acc, &p) in rec.acc.iter_mut().zip(&thermal_powers) {
                     *acc += p;
                 }
@@ -1256,21 +1214,19 @@ impl Simulator {
             // while a DTM sample fires at the *end* of each interval
             // (`(cycle + 1) % interval == 0`, so the first is cycle
             // interval − 1). Pinned by tests.
-            if let Some(trace) = &mut self.trace {
+            if let Some(trace) = trace {
                 if acc.cycle.is_multiple_of(trace.stride) {
-                    let mut temps_arr = [0.0; NUM_THERMAL];
-                    temps_arr.copy_from_slice(temps);
                     trace.cycles.push(acc.cycle);
-                    trace.temperatures.push(temps_arr);
+                    trace.temperatures.push(*temps);
                     trace.power.push(total_power);
-                    trace.duty.push(self.m.core.control().fetch_duty);
+                    trace.duty.push(m.state.core.control().fetch_duty);
                 }
             }
 
             // DTM sampling.
-            if (acc.cycle + 1).is_multiple_of(interval) {
+            if (acc.cycle + 1).is_multiple_of(rc.interval) {
                 let dtm_start = plan.phases.then(Instant::now);
-                self.m.sensors.read_all(temps, &mut sensed);
+                let sensed = m.state.sense(&temps[..]);
                 let cmd = match tstate.as_deref_mut() {
                     Some(ts) => {
                         // The observed and unobserved policy paths execute
@@ -1284,7 +1240,7 @@ impl Simulator {
                             ts.record_sensor_reads(acc.cycle, &sensed);
                         }
                         let cycle = acc.cycle;
-                        let cmd = self.policy.sample_observed(&sensed, &mut |block, s| {
+                        let cmd = policy.sample_observed(&sensed, &mut |block, s| {
                             if due {
                                 ts.record_controller(cycle, block, &s);
                             }
@@ -1292,35 +1248,34 @@ impl Simulator {
                         ts.record_duty_hist(cmd.fetch_duty);
                         cmd
                     }
-                    None => self.policy.sample(&sensed),
+                    None => policy.sample(&sensed),
                 };
                 acc.samples += 1;
-                self.duty_history.push(cmd.fetch_duty);
-                match self.cfg.dtm.mechanism {
-                    TriggerMechanism::Direct => self.apply(acc.cycle, cmd, tstate),
-                    TriggerMechanism::Interrupt { latency_cycles } => {
-                        self.pending.push_back((acc.cycle + latency_cycles, cmd));
-                    }
-                }
+                duty_history.push(cmd.fetch_duty);
+                // A direct command applies this cycle, an interrupt-
+                // delayed one once its latency has passed.
+                let latency = match cfg.dtm.mechanism {
+                    TriggerMechanism::Direct => 0,
+                    TriggerMechanism::Interrupt { latency_cycles } => latency_cycles,
+                };
+                pending.push_back((acc.cycle + latency, cmd));
                 if let Some(start) = dtm_start {
                     let ts = tstate.as_deref_mut().expect("timed block implies state");
                     ts.controller_nanos += start.elapsed().as_nanos() as u64;
                     ts.controller_calls += 1;
                 }
             }
-            while self.pending.front().is_some_and(|&(at, _)| at <= acc.cycle) {
-                let (_, cmd) = self.pending.pop_front().expect("checked");
-                self.apply(acc.cycle, cmd, tstate);
+            while pending.front().is_some_and(|&(at, _)| at <= acc.cycle) {
+                let (_, cmd) = pending.pop_front().expect("checked");
+                if let Some(ts) = tstate.as_deref_mut() {
+                    let from = m.state.core.control().fetch_duty;
+                    ts.record_duty_change(acc.cycle, from, cmd.fetch_duty);
+                }
+                m.state.apply(&mut m.thermal, cmd, &rc);
             }
 
             acc.cycle += 1;
         }
-    }
-
-    /// Applies the warm-start jump at the end of the first sampling
-    /// interval. Shared by both run loops.
-    fn apply_warm_start(&mut self, warm_start_power: &mut [f64; NUM_THERMAL], interval: u64) {
-        warm_start_jump(&mut self.m.thermal, &self.cfg.dtm, warm_start_power, interval);
     }
 
     /// Assembles the run report from the accumulators — one code path
@@ -1330,20 +1285,10 @@ impl Simulator {
             &self.name,
             self.policy.as_ref(),
             self.m.thermal.params(),
-            self.m.core.stats(),
-            self.m.core.bpred().accuracy(),
+            self.m.state.core.stats(),
+            self.m.state.core.bpred().accuracy(),
             acc,
         )
-    }
-
-    fn apply(&mut self, cycle: u64, cmd: DtmCommand, tstate: &mut Option<Box<TelemetryState>>) {
-        if let Some(ts) = tstate.as_deref_mut() {
-            let from = self.m.core.control().fetch_duty;
-            if cmd.fetch_duty != from {
-                ts.record_duty_change(cycle, from, cmd.fetch_duty);
-            }
-        }
-        self.m.apply(cmd, &self.cfg);
     }
 }
 
@@ -1367,30 +1312,33 @@ pub(crate) struct WarmCycle {
     total: f64,
 }
 
-/// Run constants of the fast loop, resolved once per run.
-pub(crate) struct FastLoop<'a> {
-    power: &'a PowerModel,
-    interval: u64,
-    emergency: f64,
-    stress: f64,
+/// The run constants of every cycle loop — fast, reference, and chip —
+/// resolved once per run.
+pub(crate) struct RunConsts<'a> {
+    pub(crate) power: &'a PowerModel,
+    pub(crate) interval: u64,
+    pub(crate) emergency: f64,
+    pub(crate) stress: f64,
     nominal_dt: f64,
-    warmup: u64,
+    pub(crate) warmup: u64,
     /// Cycles whose power feeds the warm start (0 without one).
     warm_window: u64,
     max_insts: u64,
     max_cycles: u64,
+    /// Stall cycles of a V/f transition.
+    resync_cycles: u64,
     idle_sample: PowerSample,
     leak: Option<LeakageModel>,
     /// Per-block peak powers, for the leakage term.
     peaks: [f64; NUM_THERMAL],
     /// Idle-gap skipping (never under leakage: power varies with T).
-    skip: bool,
+    pub(crate) skip: bool,
 }
 
-impl<'a> FastLoop<'a> {
-    pub(crate) fn new(cfg: &SimConfig, power: &'a PowerModel, skip: bool) -> FastLoop<'a> {
+impl<'a> RunConsts<'a> {
+    pub(crate) fn new(cfg: &SimConfig, power: &'a PowerModel, skip: bool) -> RunConsts<'a> {
         let interval = cfg.dtm.sample_interval.max(1);
-        FastLoop {
+        RunConsts {
             power,
             interval,
             emergency: cfg.dtm.emergency,
@@ -1400,24 +1348,229 @@ impl<'a> FastLoop<'a> {
             warm_window: if cfg.warm_start { interval } else { 0 },
             max_insts: cfg.max_insts,
             max_cycles: cfg.max_cycles,
-            idle_sample: power.cycle_power(&tdtm_uarch::Activity::new()),
+            resync_cycles: cfg.dtm.vf_resync_cycles,
+            idle_sample: power.cycle_power(&Activity::new()),
             leak: cfg.leakage,
             peaks: std::array::from_fn(|i| power.peak(tdtm_uarch::activity::THERMAL_BLOCKS[i])),
             skip: skip && cfg.leakage.is_none(),
         }
+    }
+
+    /// Adds cycle `cycle`'s block powers to the warm-start sums while it
+    /// lies in the warm-start window; true on the window's last cycle,
+    /// when the jump ([`warm_start_jump`]) is due.
+    #[inline]
+    pub(crate) fn warm_start_due(
+        &self,
+        cycle: u64,
+        warm_start_power: &mut [f64; NUM_THERMAL],
+        powers: &[f64],
+    ) -> bool {
+        if cycle >= self.warm_window {
+            return false;
+        }
+        for (sum, &p) in warm_start_power.iter_mut().zip(powers) {
+            *sum += p;
+        }
+        cycle + 1 == self.interval
+    }
+}
+
+impl CoreState {
+    pub(crate) fn new(cfg: &SimConfig, program: std::sync::Arc<Program>, skip: u64) -> CoreState {
+        CoreState {
+            core: Core::with_skip_shared(cfg.core, program, skip),
+            sensors: SensorModel::ideal(),
+            resync_remaining: 0,
+            vf_power_scale: 1.0,
+            vf_freq_scale: 1.0,
+            vf_engaged: false,
+        }
+    }
+
+    /// Whether the core stops before cycle `acc.cycle`: its instruction
+    /// budget is spent (counted from the first post-warmup cycle, whose
+    /// committed count this latches into `acc`), the cycle budget is
+    /// spent, or the program halted. Checked at the top of every cycle,
+    /// in this order, by every loop.
+    #[inline]
+    pub(crate) fn stopped(&self, acc: &mut RunAccum, rc: &RunConsts) -> bool {
+        let committed = self.core.stats().committed;
+        let counting = acc.cycle >= rc.warmup;
+        if counting && acc.counted_cycles == 0 {
+            acc.committed_at_count_start = committed;
+        }
+        (counting && acc.counted_committed(committed) >= rc.max_insts)
+            || acc.cycle >= rc.max_cycles
+            || self.core.finished()
+    }
+
+    /// The provably-idle window starting at cycle `acc.cycle`, at most
+    /// `horizon` cycles long, that [`skip_window`](CoreState::skip_window)
+    /// may fast-forward: a V/f resync stall, or a window the core proves
+    /// idle ([`Core::idle_window`]: fetch gated shut, or the pipeline
+    /// drained or back-pressured against a known wake cycle). The window
+    /// is capped at the cycle budget and the warmup boundary (so
+    /// `counting` is uniform across it). `None` when skipping is off,
+    /// inside the warm-start window (its per-cycle power accumulation
+    /// must run), or for windows shorter than [`MIN_SKIP_WINDOW`]. Call
+    /// only after [`stopped`](CoreState::stopped) returned false.
+    #[inline]
+    pub(crate) fn idle_window(
+        &mut self,
+        acc: &RunAccum,
+        horizon: u64,
+        rc: &RunConsts,
+    ) -> Option<(u64, SkipReason)> {
+        if !rc.skip || acc.cycle < rc.warm_window {
+            return None;
+        }
+        let mut cap = horizon.min(rc.max_cycles - acc.cycle);
+        if acc.cycle < rc.warmup {
+            cap = cap.min(rc.warmup - acc.cycle);
+        }
+        let (len, reason) = if self.resync_remaining > 0 {
+            (self.resync_remaining.min(cap), SkipReason::Resync)
+        } else {
+            let (len, kind) = self.core.idle_window(cap)?;
+            let reason = match kind {
+                IdleKind::Gated => SkipReason::Gated,
+                IdleKind::Drained => SkipReason::Drained,
+            };
+            (len, reason)
+        };
+        (len >= MIN_SKIP_WINDOW).then_some((len, reason))
+    }
+
+    /// Fast-forwards the core across `cycles` cycles of a window
+    /// [`idle_window`](CoreState::idle_window) found, and returns the
+    /// scaled power every one of them draws: the bitwise-same idle
+    /// sample, so scaling it once is exactly the per-cycle bits.
+    pub(crate) fn skip_window(
+        &mut self,
+        cycles: u64,
+        rc: &RunConsts,
+    ) -> ([f64; NUM_THERMAL], f64) {
+        if self.resync_remaining > 0 {
+            self.resync_remaining -= cycles;
+        } else {
+            self.core.skip_idle(cycles);
+        }
+        self.scaled(&rc.idle_sample)
+    }
+
+    /// One machine cycle's unscaled power: the idle sample during a V/f
+    /// resync stall (the core is not clocked), else `power` of the
+    /// pipeline cycle's activity (the power model's `cycle_power`, which
+    /// the reference loop wraps in its phase timer).
+    #[inline]
+    pub(crate) fn cycle_power(
+        &mut self,
+        rc: &RunConsts,
+        power: impl FnOnce(&Activity) -> PowerSample,
+    ) -> PowerSample {
+        if self.resync_remaining > 0 {
+            self.resync_remaining -= 1;
+            rc.idle_sample
+        } else {
+            power(self.core.cycle())
+        }
+    }
+
+    /// `sample` under the current V/f power scale: per-block thermal
+    /// powers and the total.
+    #[inline]
+    fn scaled(&self, sample: &PowerSample) -> ([f64; NUM_THERMAL], f64) {
+        let scale = self.vf_power_scale;
+        let mut powers = sample.thermal_powers();
+        for p in &mut powers {
+            *p *= scale;
+        }
+        (powers, sample.total * scale)
+    }
+
+    /// The power that heats the blocks this cycle in the unfused loops
+    /// (the fast loop fuses the same arithmetic into its thermal step):
+    /// `sample` scaled, plus — under temperature-dependent leakage — each
+    /// block's leakage at its current temperature `temps`, the feedback
+    /// loop.
+    #[inline]
+    pub(crate) fn powers_with_leakage(
+        &self,
+        sample: &PowerSample,
+        temps: &[f64],
+        rc: &RunConsts,
+    ) -> ([f64; NUM_THERMAL], f64) {
+        let (mut powers, mut total) = self.scaled(sample);
+        if let Some(leak) = rc.leak {
+            for i in 0..NUM_THERMAL {
+                // Leakage scales with V (roughly linearly through
+                // V·I_leak); reuse the dynamic scale conservatively.
+                let lp = leak.leakage_power(rc.peaks[i], temps[i]) * self.vf_power_scale;
+                powers[i] += lp;
+                total += lp;
+            }
+        }
+        (powers, total)
+    }
+
+    /// Wall time of one cycle at the current frequency.
+    #[inline]
+    fn dt_wall(&self, rc: &RunConsts) -> f64 {
+        rc.nominal_dt / self.vf_freq_scale
+    }
+
+    /// Folds cycle `acc.cycle` into the accumulators when it counts (past
+    /// the thermal warmup). The caller advances `acc.cycle`.
+    #[inline]
+    pub(crate) fn record_cycle(
+        &self,
+        acc: &mut RunAccum,
+        temps: &[f64; NUM_THERMAL],
+        powers: &[f64; NUM_THERMAL],
+        total_power: f64,
+        rc: &RunConsts,
+    ) {
+        if acc.cycle >= rc.warmup {
+            acc.record_cycle(temps, powers, total_power, self.dt_wall(rc), rc.emergency, rc.stress);
+        }
+    }
+
+    /// Reads the sensors over block temperatures `temps`.
+    pub(crate) fn sense(&mut self, temps: &[f64]) -> [f64; NUM_THERMAL] {
+        let mut sensed = [0.0f64; NUM_THERMAL];
+        self.sensors.read_all(temps, &mut sensed);
+        sensed
+    }
+
+    /// Applies a DTM command to the actuators: fetch control at once, and
+    /// a V/f transition (with its resynchronization stall) when the
+    /// command engages or releases scaling, retiming `thermal` — this
+    /// core's block model — to the new cycle time.
+    pub(crate) fn apply(&mut self, thermal: &mut BlockModel, cmd: DtmCommand, rc: &RunConsts) {
+        self.core.set_control(CoreControl {
+            fetch_duty: cmd.fetch_duty,
+            fetch_width_limit: cmd.fetch_width_limit,
+            max_unresolved_branches: cmd.max_unresolved_branches,
+        });
+        let (scale, freq) = match (cmd.vf, self.vf_engaged) {
+            (Some(vf), false) => (vf.power_scale(), vf.freq_scale),
+            (None, true) => (1.0, 1.0),
+            _ => return,
+        };
+        self.vf_engaged = cmd.vf.is_some();
+        self.vf_power_scale = scale;
+        self.vf_freq_scale = freq;
+        thermal.set_dt(rc.nominal_dt / freq);
+        self.resync_remaining = rc.resync_cycles;
     }
 }
 
 impl Machine {
     fn new(cfg: &SimConfig, program: std::sync::Arc<Program>, skip: u64) -> Machine {
         Machine {
-            core: Core::with_skip_shared(cfg.core, program, skip),
+            state: CoreState::new(cfg, program, skip),
             thermal: BlockModel::new(cfg.blocks.clone(), cfg.heatsink_temp, cfg.cycle_time()),
-            sensors: SensorModel::ideal(),
-            resync_remaining: 0,
-            vf_power_scale: 1.0,
-            vf_freq_scale: 1.0,
-            vf_engaged: false,
         }
     }
 
@@ -1441,162 +1594,76 @@ impl Machine {
     /// `(cycle + 1) % interval == 0` — the *last* cycle of each
     /// interval-aligned chunk — so from any `cycle` the boundary is
     /// `interval - cycle % interval` cycles ahead, inclusive. Stop
-    /// conditions (instruction budget, cycle budget, program halt) can
-    /// fire mid-chunk and are still checked every cycle, in exactly the
-    /// reference loop's order; a mid-chunk stop skips the boundary
+    /// conditions can fire mid-chunk and are still checked every cycle
+    /// ([`CoreState::stopped`]); a mid-chunk stop skips the boundary
     /// sample just as the reference loop would.
     ///
-    /// Idle-gap skipping: when the core proves a k-cycle window idle
-    /// ([`Core::idle_window`]: fetch gated shut, or the pipeline drained
-    /// or back-pressured — window, LSQ, rename pipe and IFQ full behind a
-    /// miss — against a known wake cycle) — or the loop is inside a V/f
-    /// resync stall — every cycle in the window draws the same idle
-    /// power, so the loop folds the window with a constant-power thermal
-    /// kernel ([`RunAccum::record_gap`] / [`BlockModel::step_gap_fixed`])
-    /// and jumps the cycle counter, never touching the pipeline. The fold
+    /// Idle-gap skipping: when [`CoreState::idle_window`] proves a
+    /// k-cycle window idle, every cycle in it draws the same idle power,
+    /// so the loop folds the window with a constant-power thermal kernel
+    /// ([`RunAccum::record_gap`] / [`BlockModel::step_gap_fixed`]) and
+    /// jumps the cycle counter, never touching the pipeline. The fold
     /// iterates the per-cycle recurrence in the same order with the same
     /// bits, and counted cycles fold into the accumulators with the same
     /// per-accumulator arithmetic, so reports stay byte-identical with
-    /// the non-skipping loops. Windows are clipped to the chunk boundary
-    /// (the boundary's DTM sample always runs), the cycle budget, and the
-    /// warmup boundary (so `counting` is uniform across a fold); no
-    /// window starts inside the warm-start window (its per-cycle power
-    /// accumulation must run) or under temperature-dependent leakage.
+    /// the non-skipping loops. Windows are also clipped to the chunk
+    /// boundary, so the boundary's DTM sample always runs. Inside a
+    /// window nothing the stop conditions read can change (the pipeline
+    /// is untouched, so `committed` and `finished` are frozen; the cycle
+    /// budget caps the window), so checking them once at entry matches
+    /// the per-cycle order.
     #[inline]
     pub(crate) fn advance<const LEAK: bool>(
         &mut self,
         acc: &mut RunAccum,
         warm_start_power: &mut [f64; NUM_THERMAL],
-        fl: &FastLoop,
+        rc: &RunConsts,
         mut log: Option<&mut Vec<SkipWindow>>,
     ) -> Pause {
-        let mut remaining = fl.interval - acc.cycle % fl.interval;
+        let Machine { state, thermal } = self;
+        let mut remaining = rc.interval - acc.cycle % rc.interval;
         while remaining > 0 {
-            let counting = acc.cycle >= fl.warmup;
-            if counting && acc.counted_cycles == 0 {
-                acc.committed_at_count_start = self.core.stats().committed;
-            }
-            // Stop conditions.
-            if self
-                .core
-                .stats()
-                .committed
-                .saturating_sub(acc.committed_at_count_start)
-                >= fl.max_insts
-                && counting
-            {
+            if state.stopped(acc, rc) {
                 return Pause::Stop;
             }
-            if acc.cycle >= fl.max_cycles || self.core.finished() {
-                return Pause::Stop;
-            }
-
-            // Idle-gap fast-forward. Inside a window nothing the stop
-            // conditions read can change (the pipeline is untouched, so
-            // `committed` and `finished` are frozen; the cycle budget caps
-            // the window), so checking them once at entry matches the
-            // per-cycle reference order.
-            if fl.skip && acc.cycle >= fl.warm_window {
-                let mut cap = remaining.min(fl.max_cycles - acc.cycle);
-                if acc.cycle < fl.warmup {
-                    cap = cap.min(fl.warmup - acc.cycle);
-                }
-                let window = if self.resync_remaining > 0 {
-                    Some((self.resync_remaining.min(cap), SkipReason::Resync))
+            if let Some((k, reason)) = state.idle_window(acc, remaining, rc) {
+                let (powers, total) = state.skip_window(k, rc);
+                if acc.cycle >= rc.warmup {
+                    acc.record_gap(thermal, &powers, total, state.dt_wall(rc), k, rc);
                 } else {
-                    self.core.idle_window(cap).map(|(len, kind)| {
-                        let reason = match kind {
-                            IdleKind::Gated => SkipReason::Gated,
-                            IdleKind::Drained => SkipReason::Drained,
-                        };
-                        (len, reason)
-                    })
-                };
-                if let Some((k, reason)) = window {
-                    if k >= MIN_SKIP_WINDOW {
-                        // Every skipped cycle draws the bitwise-same idle
-                        // power sample, so pre-scaling once is exactly the
-                        // per-cycle `step_scaled` bits.
-                        let scale = self.vf_power_scale;
-                        let mut gap_powers = fl.idle_sample.thermal_powers();
-                        for p in &mut gap_powers {
-                            *p *= scale;
-                        }
-                        let gap_total = fl.idle_sample.total * scale;
-                        if counting {
-                            acc.record_gap(
-                                &mut self.thermal,
-                                &gap_powers,
-                                gap_total,
-                                fl.nominal_dt / self.vf_freq_scale,
-                                k,
-                                fl,
-                            );
-                        } else {
-                            self.thermal.step_gap_fixed(&gap_powers, k);
-                        }
-                        if reason == SkipReason::Resync {
-                            self.resync_remaining -= k;
-                        } else {
-                            self.core.skip_idle(k);
-                        }
-                        if let Some(log) = log.as_deref_mut() {
-                            log.push(SkipWindow { start: acc.cycle, end: acc.cycle + k, reason });
-                        }
-                        acc.cycle += k;
-                        remaining -= k;
-                        continue;
-                    }
+                    thermal.step_gap_fixed(&powers, k);
                 }
+                if let Some(log) = log.as_deref_mut() {
+                    log.push(SkipWindow { start: acc.cycle, end: acc.cycle + k, reason });
+                }
+                acc.cycle += k;
+                remaining -= k;
+                continue;
             }
 
-            // One machine cycle (or a resync-stall cycle).
-            let sample = if self.resync_remaining > 0 {
-                self.resync_remaining -= 1;
-                fl.idle_sample
-            } else {
-                fl.power.cycle_power(self.core.cycle())
-            };
-            let scale = self.vf_power_scale;
+            let sample = state.cycle_power(rc, |activity| rc.power.cycle_power(activity));
+            let scale = state.vf_power_scale;
             let mut thermal_powers = sample.thermal_powers();
             let mut total_power = sample.total * scale;
             if LEAK {
-                let leak = fl.leak.expect("LEAK implies a leakage model");
-                self.thermal.step_fused(
+                let leak = rc.leak.expect("LEAK implies a leakage model");
+                thermal.step_fused(
                     &mut thermal_powers,
                     scale,
                     &mut total_power,
                     // Leakage scales with V (roughly linearly through
                     // V·I_leak); reuse the dynamic scale conservatively.
-                    |i, t| leak.leakage_power(fl.peaks[i], t) * scale,
+                    |i, t| leak.leakage_power(rc.peaks[i], t) * scale,
                 );
             } else {
-                self.thermal.step_scaled(&mut thermal_powers, scale);
+                thermal.step_scaled(&mut thermal_powers, scale);
             }
 
-            if acc.cycle < fl.warm_window {
-                for i in 0..NUM_THERMAL {
-                    warm_start_power[i] += thermal_powers[i];
-                }
-                if acc.cycle + 1 == fl.interval {
-                    warm_start_spread(&mut self.thermal, warm_start_power, fl.interval);
-                    return Pause::WarmStart(WarmCycle {
-                        powers: thermal_powers,
-                        total: total_power,
-                    });
-                }
+            if rc.warm_start_due(acc.cycle, warm_start_power, &thermal_powers) {
+                warm_start_spread(thermal, warm_start_power, rc.interval);
+                return Pause::WarmStart(WarmCycle { powers: thermal_powers, total: total_power });
             }
-
-            if counting {
-                acc.record_cycle(
-                    self.thermal.temperatures_fixed(),
-                    &thermal_powers,
-                    total_power,
-                    fl.nominal_dt / self.vf_freq_scale,
-                    fl.emergency,
-                    fl.stress,
-                );
-            }
+            state.record_cycle(acc, thermal.temperatures_fixed(), &thermal_powers, total_power, rc);
             acc.cycle += 1;
             remaining -= 1;
         }
@@ -1605,53 +1672,20 @@ impl Machine {
 
     /// Completes a warm-start cycle [`advance`](Machine::advance) paused
     /// on, once the caller has clamped the blocks.
-    pub(crate) fn finish_warm_cycle(&mut self, acc: &mut RunAccum, cycle: &WarmCycle, fl: &FastLoop) {
-        if acc.cycle >= fl.warmup {
-            acc.record_cycle(
-                self.thermal.temperatures_fixed(),
-                &cycle.powers,
-                cycle.total,
-                fl.nominal_dt / self.vf_freq_scale,
-                fl.emergency,
-                fl.stress,
-            );
-        }
+    pub(crate) fn finish_warm_cycle(
+        &mut self,
+        acc: &mut RunAccum,
+        cycle: &WarmCycle,
+        rc: &RunConsts,
+    ) {
+        let temps = self.thermal.temperatures_fixed();
+        self.state.record_cycle(acc, temps, &cycle.powers, cycle.total, rc);
         acc.cycle += 1;
     }
 
     /// Reads the sensors over the current block temperatures.
     pub(crate) fn sense(&mut self) -> [f64; NUM_THERMAL] {
-        let mut sensed = [0.0f64; NUM_THERMAL];
-        self.sensors.read_all(self.thermal.temperatures(), &mut sensed);
-        sensed
-    }
-
-    /// Applies a DTM command to the actuators: fetch control at once, and
-    /// a V/f transition (with its resynchronization stall) when the
-    /// command engages or releases scaling.
-    pub(crate) fn apply(&mut self, cmd: DtmCommand, cfg: &SimConfig) {
-        self.core.set_control(CoreControl {
-            fetch_duty: cmd.fetch_duty,
-            fetch_width_limit: cmd.fetch_width_limit,
-            max_unresolved_branches: cmd.max_unresolved_branches,
-        });
-        match (cmd.vf, self.vf_engaged) {
-            (Some(vf), false) => {
-                self.vf_engaged = true;
-                self.vf_power_scale = vf.power_scale();
-                self.vf_freq_scale = vf.freq_scale;
-                self.thermal.set_dt(cfg.cycle_time() / vf.freq_scale);
-                self.resync_remaining = cfg.dtm.vf_resync_cycles;
-            }
-            (None, true) => {
-                self.vf_engaged = false;
-                self.vf_power_scale = 1.0;
-                self.vf_freq_scale = 1.0;
-                self.thermal.set_dt(cfg.cycle_time());
-                self.resync_remaining = cfg.dtm.vf_resync_cycles;
-            }
-            _ => {}
-        }
+        self.state.sense(self.thermal.temperatures())
     }
 }
 
@@ -1861,8 +1895,8 @@ mod tests {
         // start around the thresholds so the counts move mid-gap.
         let cfg = SimConfig::quick_test();
         let power = PowerModel::new(&cfg.power, &cfg.core);
-        let fl = FastLoop::new(&cfg, &power, true);
-        let (emergency, stress) = (fl.emergency, fl.stress);
+        let rc = RunConsts::new(&cfg, &power, true);
+        let (emergency, stress) = (rc.emergency, rc.stress);
         let mut rng = tdtm_prng::Rng::new(0x6A9_F01D);
         for _ in 0..200 {
             let heatsink = 100.0 + rng.next_f64() * 10.0;
@@ -1890,7 +1924,7 @@ mod tests {
             let cycles = rng.below(3_000);
 
             let (mut gap_thermal, mut gap_acc) = (thermal.clone(), acc.clone());
-            gap_acc.record_gap(&mut gap_thermal, &powers, total, dt_wall, cycles, &fl);
+            gap_acc.record_gap(&mut gap_thermal, &powers, total, dt_wall, cycles, &rc);
             for _ in 0..cycles {
                 thermal.step_fixed(&powers);
                 acc.record_cycle(

@@ -25,7 +25,7 @@
 //! whole numbers; use `.double` data for general constants).
 
 use crate::inst::{Inst, Op};
-use crate::program::{DataSegment, Program, DATA_BASE, TEXT_BASE};
+use crate::program::{DataSegment, Program, DATA_BASE, STACK_BASE, TEXT_BASE};
 use crate::reg::{FReg, Reg};
 use std::collections::HashMap;
 use std::fmt;
@@ -222,7 +222,12 @@ fn handle_directive(
             if n < 0 {
                 return Err(err(line, "negative .zero size"));
             }
-            data.resize(data.len() + n as usize, 0);
+            // The data segment may not grow into the stack.
+            let end = (data.len() as u64).saturating_add(n as u64);
+            if end > STACK_BASE - DATA_BASE {
+                return Err(err(line, format!(".zero size {n} overruns the data segment")));
+            }
+            data.resize(end as usize, 0);
         }
         other => return Err(err(line, format!("unknown directive `.{other}`"))),
     }
@@ -631,6 +636,25 @@ mod tests {
 
         let e = assemble("addi x99, x0, 1").unwrap_err();
         assert!(e.message.contains("x99"));
+    }
+
+    #[test]
+    fn zero_sizes_past_the_data_segment_are_rejected() {
+        // Sizes that would run the data segment into the stack come back
+        // as errors instead of reaching the allocator.
+        let limit = STACK_BASE - DATA_BASE;
+        for src in [
+            ".data\n.zero 9223372036854775807".to_string(),
+            ".data\n.space 0x7fffffffffffffff".to_string(),
+            format!(".data\n.zero {}", limit + 1),
+            format!(".data\n.word 1\n.zero {}", limit - 7),
+        ] {
+            let e = assemble(&src).unwrap_err();
+            assert_eq!(e.line, src.lines().count(), "{src}");
+            assert!(e.message.contains("overruns the data segment"), "{src}: {e}");
+        }
+        let p = assemble(".data\n.word 1\n.zero 24\n.text\nhalt").unwrap();
+        assert_eq!(p.data[0].bytes.len(), 32);
     }
 
     #[test]

@@ -42,16 +42,12 @@ pub mod chipwide;
 pub mod comparison;
 pub mod duality;
 pub mod floorplan;
-pub mod modelcache;
 pub mod multicore;
 pub mod network;
-pub mod reduction;
 pub mod silicon;
 
 pub use block_model::{BlockModel, BlockParams};
 pub use multicore::{CoupledChip, CouplingEdge, MulticoreFloorplan};
-pub use modelcache::{network_fingerprint, ModelCache};
-pub use reduction::CompactModel;
 pub use boxcar::BoxcarProxy;
 pub use chipwide::ChipWideModel;
 pub use silicon::SiliconProperties;

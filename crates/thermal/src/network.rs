@@ -131,21 +131,6 @@ impl RcNetwork {
         self.nodes[node.0].power
     }
 
-    /// All node ids, in insertion order.
-    pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len()).map(NodeId)
-    }
-
-    /// All resistive edges as `(a, b, conductance)`; `b` is `None` for
-    /// edges to the ambient reference. Exposed for model-extraction
-    /// passes ([`crate::reduction`]).
-    pub fn edge_list(&self) -> impl Iterator<Item = (NodeId, Option<NodeId>, f64)> + '_ {
-        self.edges.iter().map(|e| {
-            let b = if e.b == AMBIENT { None } else { Some(NodeId(e.b)) };
-            (NodeId(e.a), b, e.conductance)
-        })
-    }
-
     /// Number of nodes.
     pub fn len(&self) -> usize {
         self.nodes.len()

@@ -100,57 +100,66 @@ impl Workload {
     }
 }
 
-/// Builds the full 18-program suite, in the paper's Table 4 order.
-pub fn suite() -> Vec<Workload> {
+/// The suite's programs, in the paper's Table 4 order: name, intended
+/// thermal category, functional warmup, and assembly source.
+fn sources() -> Vec<(&'static str, ThermalCategory, u64, String)> {
     use ThermalCategory::*;
     vec![
         // gzip: integer compression windows — L1-resident load bursts.
-        Workload::new("gzip", Medium, 64, kernels::load_bound(32 * 1024, 4, true)),
+        ("gzip", Medium, 64, kernels::load_bound(32 * 1024, 4, true)),
         // wupwise: large-stride FP-era stream — memory-bound and cool.
-        Workload::new("wupwise", Low, 64, kernels::mem_stream(8 * 1024 * 1024, 8192, false)),
+        ("wupwise", Low, 64, kernels::mem_stream(8 * 1024 * 1024, 8192, false)),
         // vpr: placement/routing pointer structures — serialized chase.
-        Workload::new(
+        (
             "vpr",
             Low,
             kernels::pointer_chase_warmup(1 << 17),
             kernels::pointer_chase(1 << 17, 40961),
         ),
         // gcc: dense, high-ILP integer code.
-        Workload::new("gcc", Extreme, 64, kernels::int_dense(10)),
+        ("gcc", Extreme, 64, kernels::int_dense(10)),
         // mesa: moderate-ILP FP rendering loop.
-        Workload::new("mesa", High, 64, kernels::fp_dense(6, 4)),
+        ("mesa", High, 64, kernels::fp_dense(6, 4)),
         // art: bursty — alternating hot FP bursts and cold miss phases.
-        Workload::new("art", Extreme, 64, kernels::mixed_phases(100_000, 15_000, 1 << 20)),
+        ("art", Extreme, 64, kernels::mixed_phases(100_000, 15_000, 1 << 20)),
         // equake: dense FP with heavy multiplies.
-        Workload::new("equake", Extreme, 64, kernels::fp_dense(8, 6)),
+        ("equake", Extreme, 64, kernels::fp_dense(8, 6)),
         // crafty: search code — effectively random branches.
-        Workload::new("crafty", Low, 64, kernels::branchy(0x2000, 4)),
+        ("crafty", Low, 64, kernels::branchy(0x2000, 4)),
         // facerec: FP plus integer address arithmetic, both clusters busy.
-        Workload::new("facerec", High, 64, kernels::fp_dense(10, 2)),
+        ("facerec", High, 64, kernels::fp_dense(10, 2)),
         // fma3d: dense matrix arithmetic (FP + memory).
-        Workload::new("fma3d", Medium, kernels::matmul_warmup(20), kernels::matmul(20)),
+        ("fma3d", Medium, kernels::matmul_warmup(20), kernels::matmul(20)),
         // parser: branchy with moderate work.
-        Workload::new("parser", Low, 64, kernels::branchy(0x1000, 8)),
+        ("parser", Low, 64, kernels::branchy(0x1000, 8)),
         // eon: mixed int/FP rendering at moderate intensity.
-        Workload::new("eon", Medium, 64, kernels::int_fp_mix(3, 3)),
+        ("eon", Medium, 64, kernels::int_fp_mix(3, 3)),
         // perlbmk: call-dense interpreter-style integer code.
-        Workload::new("perlbmk", High, 64, kernels::call_heavy(12)),
+        ("perlbmk", High, 64, kernels::call_heavy(12)),
         // gap: hashed small-table accesses with integer work.
-        Workload::new("gap", Medium, 64, kernels::hash_mix(1 << 15, 6)),
+        ("gap", Medium, 64, kernels::hash_mix(1 << 15, 6)),
         // vortex: database-ish object accesses over a hot working set.
-        Workload::new("vortex", Medium, 64, kernels::hash_mix(1 << 14, 6)),
+        ("vortex", Medium, 64, kernels::hash_mix(1 << 14, 6)),
         // bzip2: high-IPC integer with predictable branches.
-        Workload::new("bzip2", Extreme, 64, kernels::int_dense(16)),
+        ("bzip2", Extreme, 64, kernels::int_dense(16)),
         // twolf: pointer-chasing placement with a medium footprint.
-        Workload::new(
+        (
             "twolf",
             Low,
             kernels::pointer_chase_warmup(1 << 15),
             kernels::pointer_chase(1 << 15, 10241),
         ),
         // apsi: both execution clusters saturated.
-        Workload::new("apsi", Extreme, 64, kernels::int_fp_mix(6, 5)),
+        ("apsi", Extreme, 64, kernels::int_fp_mix(6, 5)),
     ]
+}
+
+/// Builds the full 18-program suite, in the paper's Table 4 order.
+pub fn suite() -> Vec<Workload> {
+    sources()
+        .into_iter()
+        .map(|(name, category, warmup, source)| Workload::new(name, category, warmup, source))
+        .collect()
 }
 
 /// Looks up one workload by benchmark name.
@@ -243,5 +252,48 @@ mod tests {
         let a = by_name("crafty").unwrap();
         let b = by_name("crafty").unwrap();
         assert_eq!(a.program().insts, b.program().insts);
+    }
+
+    /// The assembler is an input boundary: a corrupt source must come
+    /// back as an `AsmError` (or, if still well-formed, a program), never
+    /// a panic. Every suite kernel's source is truncated, bit-flipped,
+    /// and spliced with another kernel's; each mutant must return.
+    #[test]
+    fn mutated_kernel_sources_never_panic_the_assembler() {
+        use tdtm_isa::asm::assemble;
+        let sources: Vec<String> = sources().into_iter().map(|(.., src)| src).collect();
+        let mut rng = tdtm_prng::Rng::new(0xA55E_4B1E);
+        for (k, src) in sources.iter().enumerate() {
+            let bytes = src.as_bytes();
+            let lines: Vec<&str> = src.lines().collect();
+            for i in 0..24 {
+                // Truncation at any byte.
+                let cut = rng.index(bytes.len() + 1);
+                let truncated = String::from_utf8_lossy(&bytes[..cut]).into_owned();
+                // One to three bit flips (may leave invalid UTF-8, which
+                // decodes lossily into non-ASCII text).
+                let mut flipped = bytes.to_vec();
+                for _ in 0..=rng.below(3) {
+                    let at = rng.index(flipped.len());
+                    flipped[at] ^= 1 << rng.below(8);
+                }
+                let flipped = String::from_utf8_lossy(&flipped).into_owned();
+                // A prefix of this kernel's lines joined to a suffix of
+                // another's. Cutting at line boundaries keeps numbers
+                // whole, so no splice can invent a huge `.zero` size.
+                let other: Vec<&str> = sources[rng.index(sources.len())].lines().collect();
+                let (a, b) = (rng.index(lines.len() + 1), rng.index(other.len() + 1));
+                let spliced = [&lines[..a], &other[b..]].concat().join("\n");
+                for (kind, mutant) in
+                    [("truncated", truncated), ("bit-flipped", flipped), ("spliced", spliced)]
+                {
+                    let outcome = std::panic::catch_unwind(|| assemble(&mutant).map(drop));
+                    assert!(
+                        outcome.is_ok(),
+                        "kernel {k} mutant {i} ({kind}) panicked the assembler:\n{mutant}"
+                    );
+                }
+            }
+        }
     }
 }

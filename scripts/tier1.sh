@@ -107,9 +107,4 @@ echo "== tier 1: warm-repeat throughput smoke (grid_repeat_throughput vs BENCH_g
 # committed rows.
 cargo bench -p tdtm-bench --bench grid_repeat_throughput -- --quick --check "$PWD/BENCH_grid.json"
 
-echo "== tier 1: reduction accuracy smoke (Table-3 compact extraction) =="
-# Extracts the Table-3 floorplan into a compact model and asserts the
-# truncation error bound and full-solver agreement hold at tol = 10.
-cargo test -q --release -p tdtm-thermal --lib table3_floorplan_extracts_and_tracks -- --exact reduction::tests::table3_floorplan_extracts_and_tracks
-
 echo "tier 1: OK"

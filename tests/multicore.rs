@@ -5,7 +5,8 @@
 //! 1. **N = 1 degeneracy** — a one-core chip with no supervisor produces
 //!    a core-0 report byte-identical to the single-core `Simulator`, for
 //!    every policy family including V/f scaling and the new
-//!    retrieved-literature controllers.
+//!    retrieved-literature controllers, with and without
+//!    temperature-dependent leakage.
 //! 2. **Interference is real** — an unthrottled hot neighbor raises the
 //!    throttled core's peak block temperature versus the same chip with
 //!    coupling disabled, and more strongly at higher coupling.
@@ -17,6 +18,7 @@ use tdtm::core::engine::ExperimentGrid;
 use tdtm::core::experiments::ExperimentScale;
 use tdtm::core::{MulticoreSim, RunReport, SimConfig, Simulator};
 use tdtm::dtm::{PolicyKind, SupervisorConfig};
+use tdtm::power::LeakageModel;
 use tdtm::workloads::by_name;
 
 /// Byte-level equality (see `tests/hot_loop_identity.rs`): `PartialEq`
@@ -38,14 +40,19 @@ fn hot_cfg(policy: PolicyKind) -> SimConfig {
 #[test]
 fn one_core_chip_is_byte_identical_to_the_single_core_simulator() {
     let w = by_name("gcc").expect("suite workload");
-    for policy in [
+    let cases = [
         PolicyKind::None,
         PolicyKind::Pid,
         PolicyKind::VfScale,
         PolicyKind::AdaptiveI,
         PolicyKind::StabilityAware,
-    ] {
-        let cfg = hot_cfg(policy);
+    ]
+    .into_iter()
+    .map(|policy| (policy, false))
+    .chain([(PolicyKind::Pid, true), (PolicyKind::VfScale, true)]);
+    for (policy, leakage) in cases {
+        let mut cfg = hot_cfg(policy);
+        cfg.leakage = leakage.then(LeakageModel::node_180nm);
         let mut single = Simulator::for_workload(cfg.clone(), &w);
         let expected = single.run();
 
@@ -54,11 +61,15 @@ fn one_core_chip_is_byte_identical_to_the_single_core_simulator() {
         assert_eq!(chip.cores.len(), 1);
         assert!(!chip.coupled, "one core has no coupling edges");
         assert_eq!(chip.supervisor_interventions, 0);
-        assert_byte_identical(&expected, &chip.cores[0], &format!("policy {policy:?}"));
+        assert_byte_identical(
+            &expected,
+            &chip.cores[0],
+            &format!("policy {policy:?}, leakage {leakage}"),
+        );
         assert_eq!(
             single.duty_history(),
             chip_sim.duty_history(0),
-            "policy {policy:?}: duty histories differ"
+            "policy {policy:?}, leakage {leakage}: duty histories differ"
         );
     }
 }
